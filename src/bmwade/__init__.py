@@ -17,7 +17,7 @@ from .rootsys import (
     parabolic_order,
     weyl_order,
 )
-from .scalar import Scalar, ScalarDomainError, arith, eval_at, x_value
+from .scalar import Scalar, ScalarDomainError, x_value
 from .verify import SuiteReport, a2_dimension_check, dims_report, run_suite, seeded_points
 from .wordalg import parse_word, reduce_word, rep_image, rep_image_word
 
@@ -33,13 +33,11 @@ __all__ = [
     "SuiteReport",
     "ThetaSpec",
     "a2_dimension_check",
-    "arith",
     "build_lk",
     "build_type",
     "classical_lk",
     "dims_report",
     "enumerate_parabolic",
-    "eval_at",
     "eval_signed_word",
     "in_parabolic",
     "parabolic_order",

@@ -60,36 +60,6 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"cannot parse rational {text!r}") from exc
 
 
-def _tcache_path(cache_dir: str, label: str) -> Path:
-    return Path(cache_dir) / f"{label}.tcoeff.json"
-
-
-def _load_tcache(lk, cache_dir: str | None):
-    if not cache_dir:
-        return
-    path = _tcache_path(cache_dir, lk.rs.dtype.label)
-    if not path.exists():
-        return
-    data = json.loads(path.read_text())
-    for key, helem in data.items():
-        node_text, root_text = key.split("|")
-        beta = tuple(int(c) for c in root_text.split(","))
-        lk._t_memo[(int(node_text), beta)] = HeckeElement.from_json_dict(
-            lk.rs, lk.c_set, helem)
-
-
-def _save_tcache(lk, cache_dir: str | None):
-    if not cache_dir:
-        return
-    path = _tcache_path(cache_dir, lk.rs.dtype.label)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = {
-        f"{i}|{','.join(str(c) for c in beta)}": h.to_json_dict()
-        for (i, beta), h in sorted(lk._t_memo.items())
-    }
-    path.write_text(_dumps(data) + "\n")
-
-
 def _cmd_roots(args) -> int:
     rs = _parse_type(args.type)
     if args.json:
@@ -128,9 +98,7 @@ def _cmd_tcoeff(args) -> int:
     beta = _parse_root(lk.rs, args.root)
     if args.node not in lk.rs.nodes:
         raise UsageError(f"node {args.node} out of range")
-    _load_tcache(lk, args.cache_dir)
     t = lk.t_coeff(args.node, beta)
-    _save_tcache(lk, args.cache_dir)
     print(_dumps(t.to_json_dict()) if args.json else repr(t))
     return 0
 
@@ -150,7 +118,8 @@ def _cmd_hbeta(args) -> int:
 
 def _cmd_matrices(args) -> int:
     lk = build_lk(_parse_type(args.type).dtype.label)
-    _load_tcache(lk, args.cache_dir)
+    if args.r is not None and args.theta is None:
+        raise UsageError("--r needs --theta lk")
     if args.theta is None:
         payload = {
             "type": lk.rs.dtype.label,
@@ -169,8 +138,14 @@ def _cmd_matrices(args) -> int:
     else:
         if args.theta != "lk":
             raise UsageError("only the classical character --theta lk is built in")
-        theta = theta_character_at(lk.rs, _parse_fraction(args.r)) if args.r \
-            else classical_lk(lk.rs)
+        if args.r is None:
+            theta = classical_lk(lk.rs)
+        else:
+            r0 = _parse_fraction(args.r)
+            try:
+                theta = theta_character_at(lk.rs, r0)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
         gammas = lk.gamma_theta(theta)
         payload = {
             "type": lk.rs.dtype.label,
@@ -180,7 +155,6 @@ def _cmd_matrices(args) -> int:
                 for i, g in zip(lk.rs.nodes, gammas)
             },
         }
-    _save_tcache(lk, args.cache_dir)
     text = _dumps(payload)
     if args.json and args.json is not True:
         Path(args.json).write_text(text + "\n")
@@ -200,11 +174,12 @@ def _cmd_verify(args) -> int:
     rs = _parse_type(args.type)
     if args.suite not in SUITE_NAMES + ("all", "a2dim"):
         raise UsageError(f"unknown suite {args.suite!r}")
-    _load_tcache(build_lk(rs.dtype.label), args.cache_dir)
     try:
         if args.suite == "a2dim":
             if rs.dtype.label != "A2":
                 raise UsageError("the a2dim suite runs on type A2 only")
+            if args.specialize:
+                raise UsageError("the a2dim suite has no specialized mode")
             report = a2_dimension_check()
         elif args.specialize:
             l0, r0 = _parse_specialize(args.specialize)
@@ -213,7 +188,6 @@ def _cmd_verify(args) -> int:
             report = run_suite(args.suite, rs.dtype.label, "generic")
     except UnsupportedModeError as exc:
         raise UsageError(str(exc)) from exc
-    _save_tcache(build_lk(rs.dtype.label), args.cache_dir)
     if args.json:
         print(_dumps(report.to_json_dict()))
     else:
@@ -243,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bmwade",
         description="Exact BMW algebra and Lawrence-Krammer computations for ADE types.",
     )
-    parser.add_argument("--cache-dir", default=None, help="directory for memoized T-coefficients")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", help="positive roots, highest root, and the node set C")

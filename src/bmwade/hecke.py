@@ -131,11 +131,6 @@ class HeckeElement:
             return HeckeElement(self.rs, self.parent)
         return HeckeElement(self.rs, self.parent, {w: c * s for w, c in self.terms.items()})
 
-    def __rmul__(self, s: Scalar) -> HeckeElement:
-        if isinstance(s, Scalar):
-            return self.scale(s)
-        return NotImplemented
-
     # -- ring operations -------------------------------------------------------
 
     def mul_generator(self, j: int, inverse: bool = False) -> HeckeElement:

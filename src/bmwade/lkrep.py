@@ -1,6 +1,10 @@
-"""Generalized Lawrence-Krammer representations over Hecke coefficients.
+"""Generalized Lawrence-Krammer representations over a coefficient ring.
 
-The module computes, for a fixed ADE root system:
+One recursion and one set of matrix builders (:class:`LKRepresentation`)
+run over two coefficient rings: the C-parabolic Hecke algebra
+(:class:`LawrenceKrammer`, symbolic) and its one-dimensional character at a
+rational point (:class:`CharacterSpecialization`, exact rationals).  The
+module computes, for a fixed ADE root system:
 
 * the node-valued map (beta, i) -> h in C with h_{beta,i} = z_h, by the
   height-ascending recursion that pushes beta toward the highest root;
@@ -34,11 +38,7 @@ from functools import lru_cache
 
 from .hecke import HeckeElement, ParabolicError, eval_signed_word, in_parabolic
 from .rootsys import Root, RootSystem, Weyl, build_type
-from .scalar import P_ONE, P_VAR, Scalar, p_const
-
-_M = Scalar.m()
-_L_INV = Scalar.l(-1)
-_L_OVER_M = Scalar.from_ratfunc(P_ONE, P_VAR, lexp=1)
+from .scalar import P_ONE, P_VAR, Scalar, p_const, x_value
 
 
 class SparseMatrix:
@@ -204,31 +204,31 @@ def theta_character_at(rs: RootSystem, r0) -> ThetaSpec:
     return theta
 
 
-class LawrenceKrammer:
-    """All representation data attached to one root system, fully memoized."""
+class LKRepresentation:
+    """The T recursion and the matrix builders, over a coefficient ring.
+
+    A subclass supplies the ring: ``zero()``, ``unit()``, ``z(j)`` and
+    ``t_closed_form(i, beta)``, plus the ground scalars ``m``, ``l``,
+    ``linv``, ``x`` and ``l_over_m``, which right-multiply ring elements and
+    matrix entries.  Factors are always multiplied in the order of the
+    generic equations (z_h^-1 T in the commuting step, T z_h in the adjacent
+    step), so a ring with non-commuting elements sees the true order.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.c_set = frozenset(rs.c_nodes)
-        self.full_set = frozenset(rs.nodes)
         self.size = len(rs.positive_roots)
         self._h_memo: dict[tuple[Root, int], int] = {}
-        self._t_memo: dict[tuple[int, Root], HeckeElement] = {}
+        self._t_memo: dict[tuple[int, Root], object] = {}
         self._sigma: dict[int, SparseMatrix] = {}
         self._sigma_inv: dict[int, SparseMatrix] = {}
         self._tau: dict[int, SparseMatrix] = {}
         self._ef: dict[int, tuple[SparseMatrix, SparseMatrix]] = {}
 
-    # -- coefficient algebra scalars -----------------------------------------
-
-    def z(self, j: int) -> HeckeElement:
-        return HeckeElement.generator(self.rs, self.c_set, j)
-
-    def unit(self) -> HeckeElement:
-        return HeckeElement.unit(self.rs, self.c_set)
-
-    def zero(self) -> HeckeElement:
-        return HeckeElement.zero(self.rs, self.c_set)
+    def z_inv(self, j: int):
+        """z_j^-1 = z_j + m."""
+        return self.z(j) + self.unit() * self.m
 
     # -- h_{beta,i} -------------------------------------------------------
 
@@ -263,8 +263,144 @@ class LawrenceKrammer:
             self._h_memo[k] = cached
         return cached
 
-    def h_elem(self, beta: Root, i: int) -> HeckeElement:
+    def h_elem(self, beta: Root, i: int):
         return self.z(self.h_node(beta, i))
+
+    # -- T_{i,beta} ----------------------------------------------------------
+
+    def t_coeff(self, i: int, beta: Root):
+        self.rs.require_root(beta)
+        key = (i, beta)
+        cached = self._t_memo.get(key)
+        if cached is None:
+            cached = self._t_compute(i, beta)
+            self._t_memo[key] = cached
+        return cached
+
+    def _t_compute(self, i: int, beta: Root):
+        rs = self.rs
+        if i not in rs.support(beta):
+            return self.zero()
+        if beta == rs.alpha(i):
+            return self.unit()
+        if rs.height(beta) == 2:
+            return self.unit() * self.m
+        p = rs.pairing_simple(i, beta)
+        if p == 1:
+            return self.t_closed_form(i, beta)
+        ones = [j for j in rs.nodes if rs.pairing_simple(j, beta) == 1]
+        for j in ones:
+            if j != i and j not in rs.neighbors[i]:
+                hinv = self.z_inv(self.h_node(rs.alpha(i), j))
+                return hinv * self.t_coeff(i, rs.sub_simple(beta, j))
+        for j in ones:
+            if j in rs.neighbors[i]:
+                gamma = rs.sub_simple(beta, j)
+                if p == 0:
+                    return self.t_coeff(j, rs.sub_simple(gamma, i)) + self.t_coeff(i, gamma) * self.m
+                if p == -1:
+                    zh = self.h_elem(gamma, i)
+                    return self.t_coeff(j, gamma) * zh + self.t_coeff(i, gamma) * self.m
+        raise AssertionError(f"no admissible neighbor for T_({i},{beta})")
+
+    # -- representation matrices ------------------------------------------------
+
+    def _idx(self, beta: Root) -> int:
+        return self.rs.root_index[beta]
+
+    def _tau_column(self, i: int, b_idx: int, beta: Root) -> dict:
+        rs = self.rs
+        p = rs.pairing_simple(i, beta)
+        if p == 1:
+            return {self._idx(rs.sub_simple(beta, i)): self.unit()}
+        if p == 0:
+            return {b_idx: self.h_elem(beta, i)}
+        if p == -1:
+            return {self._idx(rs.add_simple(beta, i)): self.unit(), b_idx: self.unit() * -self.m}
+        return {}
+
+    def sigma(self, i: int) -> SparseMatrix:
+        """sigma_i = tau_i + l^-1 T_i, with T_i confined to the alpha_i row."""
+        cached = self._sigma.get(i)
+        if cached is not None:
+            return cached
+        rs = self.rs
+        ai = rs.alpha(i)
+        ai_idx = self._idx(ai)
+        cols = {}
+        for b_idx, beta in enumerate(rs.positive_roots):
+            col = self._tau_column(i, b_idx, beta)
+            # T_{i,alpha_i} = 1 is known without a lookup
+            t = self.unit() if beta == ai else self.t_coeff(i, beta)
+            if t:
+                cur = col.get(ai_idx)
+                part = t * self.linv
+                col[ai_idx] = part if cur is None else cur + part
+            cols[b_idx] = col
+        mat = SparseMatrix(self.size, cols)
+        self._sigma[i] = mat
+        return mat
+
+    def tau(self, i: int) -> SparseMatrix:
+        cached = self._tau.get(i)
+        if cached is None:
+            cols = {b_idx: self._tau_column(i, b_idx, beta)
+                    for b_idx, beta in enumerate(self.rs.positive_roots)}
+            cached = SparseMatrix(self.size, cols)
+            self._tau[i] = cached
+        return cached
+
+    def identity_matrix(self) -> SparseMatrix:
+        return SparseMatrix.identity(self.size, self.unit())
+
+    def e_and_f(self, i: int) -> tuple[SparseMatrix, SparseMatrix]:
+        """f_i = sigma_i^2 + m sigma_i - 1 and e_i = (l/m) f_i."""
+        cached = self._ef.get(i)
+        if cached is None:
+            s = self.sigma(i)
+            f = s * s + s.scale(self.m) - self.identity_matrix()
+            cached = (f.scale(self.l_over_m), f)
+            self._ef[i] = cached
+        return cached
+
+    def e_matrix(self, i: int) -> SparseMatrix:
+        return self.e_and_f(i)[0]
+
+    def sigma_inv(self, i: int) -> SparseMatrix:
+        cached = self._sigma_inv.get(i)
+        if cached is None:
+            cached = self.sigma(i) + (self.identity_matrix() - self.e_matrix(i)).scale(self.m)
+            self._sigma_inv[i] = cached
+        return cached
+
+    def word_matrix(self, word) -> SparseMatrix:
+        out = self.identity_matrix()
+        for i in word:
+            out = out * self.sigma(i)
+        return out
+
+
+class LawrenceKrammer(LKRepresentation):
+    """The generic representation: entries in the C-parabolic Hecke algebra."""
+
+    m = Scalar.m()
+    l = Scalar.l(1)
+    linv = Scalar.l(-1)
+    x = x_value()
+    l_over_m = Scalar.from_ratfunc(P_ONE, P_VAR, lexp=1)
+
+    def __init__(self, rs: RootSystem):
+        super().__init__(rs)
+        self.full_set = frozenset(rs.nodes)
+
+    def z(self, j: int) -> HeckeElement:
+        return HeckeElement.generator(self.rs, self.c_set, j)
+
+    def unit(self) -> HeckeElement:
+        return HeckeElement.unit(self.rs, self.c_set)
+
+    def zero(self) -> HeckeElement:
+        return HeckeElement.zero(self.rs, self.c_set)
 
     def h_oracle(self, beta: Root, i: int) -> HeckeElement:
         """Full-type evaluation of d_beta^-1 s_i d_beta, projected onto C.
@@ -276,46 +412,6 @@ class LawrenceKrammer:
         d = rs.d_beta_word(beta)
         signed = [(a, -1) for a in reversed(d)] + [(i, +1)] + [(a, +1) for a in d]
         return eval_signed_word(rs, self.full_set, signed).project_subalgebra(self.c_set)
-
-    # -- T_{i,beta} ----------------------------------------------------------
-
-    def t_coeff(self, i: int, beta: Root) -> HeckeElement:
-        rs = self.rs
-        rs.require_root(beta)
-        key = (i, beta)
-        cached = self._t_memo.get(key)
-        if cached is not None:
-            return cached
-        val = self._t_compute(i, beta)
-        self._t_memo[key] = val
-        return val
-
-    def _t_compute(self, i: int, beta: Root) -> HeckeElement:
-        rs = self.rs
-        if i not in rs.support(beta):
-            return self.zero()
-        if beta == rs.alpha(i):
-            return self.unit()
-        if rs.height(beta) == 2:
-            return self.unit().scale(_M)
-        p = rs.pairing_simple(i, beta)
-        if p == 1:
-            return self.t_closed_form(i, beta)
-        ones = [j for j in rs.nodes if rs.pairing_simple(j, beta) == 1]
-        for j in ones:
-            if j != i and j not in rs.neighbors[i]:
-                h = self.h_node(rs.alpha(i), j)
-                hinv = self.z(h) + self.unit().scale(_M)
-                return hinv * self.t_coeff(i, rs.sub_simple(beta, j))
-        for j in ones:
-            if j in rs.neighbors[i]:
-                gamma = rs.sub_simple(beta, j)
-                if p == 0:
-                    return self.t_coeff(j, rs.sub_simple(gamma, i)) + self.t_coeff(i, gamma).scale(_M)
-                if p == -1:
-                    zh = self.z(self.h_node(gamma, i))
-                    return self.t_coeff(j, gamma) * zh + self.t_coeff(i, gamma).scale(_M)
-        raise AssertionError(f"no admissible neighbor for T_({i},{beta})")
 
     def t_closed_form(self, i: int, beta: Root) -> HeckeElement:
         """m * (d_{alpha_i}^-1 s_beta^-1 s_i s_beta d_beta) in the C-parabolic.
@@ -338,95 +434,7 @@ class LawrenceKrammer:
                     f"T closed form for i={i}, beta={beta} left the C-parabolic "
                     f"at {rs.reduced_word(w)}", rs.reduced_word(w))
             terms[w] = Scalar.from_ratfunc(tuple(Fraction(v) for v in c))
-        return HeckeElement(rs, self.c_set, terms).scale(_M)
-
-    # -- representation matrices ------------------------------------------------
-
-    def _idx(self, beta: Root) -> int:
-        return self.rs.root_index[beta]
-
-    def sigma(self, i: int) -> SparseMatrix:
-        cached = self._sigma.get(i)
-        if cached is not None:
-            return cached
-        rs = self.rs
-        cols: dict[int, dict[int, HeckeElement]] = {}
-        ai = rs.alpha(i)
-        ai_idx = self._idx(ai)
-        for b_idx, beta in enumerate(rs.positive_roots):
-            p = rs.pairing_simple(i, beta)
-            col: dict[int, HeckeElement] = {}
-            if p == 2:
-                col[ai_idx] = self.unit().scale(_L_INV)
-            else:
-                if p == 1:
-                    col[self._idx(rs.sub_simple(beta, i))] = self.unit()
-                elif p == 0:
-                    col[b_idx] = self.h_elem(beta, i)
-                else:
-                    col[self._idx(rs.add_simple(beta, i))] = self.unit()
-                    col[b_idx] = self.unit().scale(-_M)
-                t = self.t_coeff(i, beta)
-                if t:
-                    cur = col.get(ai_idx)
-                    part = t.scale(_L_INV)
-                    col[ai_idx] = part if cur is None else cur + part
-            cols[b_idx] = col
-        mat = SparseMatrix(self.size, cols)
-        self._sigma[i] = mat
-        return mat
-
-    def tau(self, i: int) -> SparseMatrix:
-        cached = self._tau.get(i)
-        if cached is not None:
-            return cached
-        rs = self.rs
-        cols: dict[int, dict[int, HeckeElement]] = {}
-        for b_idx, beta in enumerate(rs.positive_roots):
-            p = rs.pairing_simple(i, beta)
-            col: dict[int, HeckeElement] = {}
-            if p == 1:
-                col[self._idx(rs.sub_simple(beta, i))] = self.unit()
-            elif p == 0:
-                col[b_idx] = self.h_elem(beta, i)
-            elif p == -1:
-                col[self._idx(rs.add_simple(beta, i))] = self.unit()
-                col[b_idx] = self.unit().scale(-_M)
-            if col:
-                cols[b_idx] = col
-        mat = SparseMatrix(self.size, cols)
-        self._tau[i] = mat
-        return mat
-
-    def identity_matrix(self) -> SparseMatrix:
-        return SparseMatrix.identity(self.size, self.unit())
-
-    def e_and_f(self, i: int) -> tuple[SparseMatrix, SparseMatrix]:
-        cached = self._ef.get(i)
-        if cached is not None:
-            return cached
-        s = self.sigma(i)
-        f = s * s + s.scale(_M) - self.identity_matrix()
-        e = f.scale(_L_OVER_M)
-        self._ef[i] = (e, f)
-        return e, f
-
-    def e_matrix(self, i: int) -> SparseMatrix:
-        return self.e_and_f(i)[0]
-
-    def sigma_inv(self, i: int) -> SparseMatrix:
-        cached = self._sigma_inv.get(i)
-        if cached is None:
-            e = self.e_matrix(i)
-            cached = self.sigma(i) + (self.identity_matrix() - e).scale(_M)
-            self._sigma_inv[i] = cached
-        return cached
-
-    def word_matrix(self, word) -> SparseMatrix:
-        out = self.identity_matrix()
-        for i in word:
-            out = out * self.sigma(i)
-        return out
+        return HeckeElement(rs, self.c_set, terms) * self.m
 
     # -- theta expansion -------------------------------------------------------
 
@@ -469,154 +477,57 @@ class LawrenceKrammer:
             out.append(SparseMatrix(self.size * d, cols))
         return out
 
-    # -- rational specialization ---------------------------------------------
 
-    def char_value(self, helem: HeckeElement, l0: Fraction, m0: Fraction, c0: Fraction) -> Fraction:
-        """Value of a Hecke element under the character z -> c0 at (l0, m0)."""
-        acc = Fraction(0)
-        for w, coeff in helem.terms.items():
-            acc += coeff.eval_at(l0, m0) * c0 ** len(self.rs.reduced_word(w))
-        return acc
-
-    def specialize_matrix(self, mat: SparseMatrix, l0, r0) -> SparseMatrix:
-        l0, r0 = Fraction(l0), Fraction(r0)
-        m0 = r0 - 1 / r0
-        c0 = 1 / r0
-        return mat.map_entries(lambda h: self.char_value(h, l0, m0, c0))
-
-
-class CharacterSpecialization:
+class CharacterSpecialization(LKRepresentation):
     """The representation at rational l = l0, r = r0 through the character z -> 1/r0.
 
     The character of the C-parabolic extends to the full-type Hecke algebra
     (any scalar root of c^2 + m c - 1 = 0 defines a one-dimensional
-    character), so the T-coefficient recursion, including the closed-form
-    step, collapses to exact rational arithmetic: every evaluated word
-    contributes c0 per positive letter and c0 + m0 = 1/c0 per inverse
-    letter.  This is the workhorse for the E-type suites, where generic
-    coefficients are far too large to be rebuilt per point.
+    character), so the T recursion, including the closed-form step, runs in
+    exact rational arithmetic: every evaluated word contributes c0 per
+    positive letter and c0 + m0 = 1/c0 per inverse letter.  This is the
+    workhorse for the E-type suites, where generic coefficients are far too
+    large to be rebuilt per point.
     """
 
     def __init__(self, lk: LawrenceKrammer, l0, r0):
-        self.lk = lk
-        self.rs = lk.rs
-        self.size = lk.size
-        self.l0 = Fraction(l0)
-        self.r0 = Fraction(r0)
-        if self.l0 == 0 or self.r0 in (0, 1, -1):
+        l0, r0 = Fraction(l0), Fraction(r0)
+        if l0 == 0 or r0 in (0, 1, -1):
             raise ValueError("need l0 != 0 and r0 not in {0, 1, -1}")
-        self.m0 = self.r0 - 1 / self.r0
-        self.c0 = 1 / self.r0
-        self.x0 = 1 - (self.l0 - 1 / self.l0) / self.m0
-        self._t: dict[tuple[int, Root], Fraction] = {}
-        self._mats: dict[tuple[str, int], SparseMatrix] = {}
+        super().__init__(lk.rs)
+        self._h_memo = lk._h_memo  # h is ring-free: share the generic memo
+        self.l0, self.r0 = l0, r0
+        self.c0 = 1 / r0
+        self.m = r0 - 1 / r0
+        self.l = l0
+        self.linv = 1 / l0
+        self.x = 1 - (l0 - 1 / l0) / self.m
+        self.l_over_m = l0 / self.m
+
+    def z(self, j: int) -> Fraction:
+        return self.c0
+
+    def unit(self) -> Fraction:
+        return Fraction(1)
+
+    def zero(self) -> Fraction:
+        return Fraction(0)
 
     def t_char(self, i: int, beta: Root) -> Fraction:
-        key = (i, beta)
-        cached = self._t.get(key)
-        if cached is None:
-            cached = self._t_compute(i, beta)
-            self._t[key] = cached
-        return cached
+        """T_{i,beta} under the character; the memoized lookup of this ring."""
+        return super().t_coeff(i, beta)
 
-    def _t_compute(self, i: int, beta: Root) -> Fraction:
-        rs, m0, c0 = self.rs, self.m0, self.c0
-        if i not in rs.support(beta):
-            return Fraction(0)
-        if beta == rs.alpha(i):
-            return Fraction(1)
-        if rs.height(beta) == 2:
-            return m0
-        p = rs.pairing_simple(i, beta)
-        if p == 1:
-            pos = 1 + len(rs.s_beta_word(beta)) + len(rs.d_beta_word(beta))
-            inv = len(rs.s_beta_word(beta)) + len(rs.d_beta_word(rs.alpha(i)))
-            return m0 * c0 ** pos * (c0 + m0) ** inv
-        ones = [j for j in rs.nodes if rs.pairing_simple(j, beta) == 1]
-        for j in ones:
-            if j != i and j not in rs.neighbors[i]:
-                return (c0 + m0) * self.t_char(i, rs.sub_simple(beta, j))
-        for j in ones:
-            if j in rs.neighbors[i]:
-                gamma = rs.sub_simple(beta, j)
-                if p == 0:
-                    return self.t_char(j, rs.sub_simple(gamma, i)) + m0 * self.t_char(i, gamma)
-                if p == -1:
-                    return self.t_char(j, gamma) * c0 + m0 * self.t_char(i, gamma)
-        raise AssertionError(f"no admissible neighbor for T_({i},{beta})")
+    def t_coeff(self, i: int, beta: Root) -> Fraction:
+        # every lookup, the recursion's own included, enters through t_char
+        return self.t_char(i, beta)
 
-    def hval(self, helem: HeckeElement) -> Fraction:
-        return self.lk.char_value(helem, self.l0, self.m0, self.c0)
-
-    def _get(self, kind: str, i: int, maker) -> SparseMatrix:
-        key = (kind, i)
-        if key not in self._mats:
-            self._mats[key] = maker(i)
-        return self._mats[key]
-
-    def sigma(self, i: int) -> SparseMatrix:
-        return self._get("s", i, self._build_sigma)
-
-    def _build_sigma(self, i: int) -> SparseMatrix:
+    def t_closed_form(self, i: int, beta: Root) -> Fraction:
+        """The closed-form word evaluated letter by letter under the character."""
         rs = self.rs
-        linv = 1 / self.l0
-        cols: dict[int, dict[int, Fraction]] = {}
-        ai_idx = rs.root_index[rs.alpha(i)]
-        for b_idx, beta in enumerate(rs.positive_roots):
-            p = rs.pairing_simple(i, beta)
-            col: dict[int, Fraction] = {}
-            if p == 2:
-                col[ai_idx] = linv
-            else:
-                if p == 1:
-                    col[rs.root_index[rs.sub_simple(beta, i)]] = Fraction(1)
-                elif p == 0:
-                    col[b_idx] = self.c0
-                else:
-                    col[rs.root_index[rs.add_simple(beta, i)]] = Fraction(1)
-                    col[b_idx] = -self.m0
-                t = self.t_char(i, beta)
-                if t:
-                    col[ai_idx] = col.get(ai_idx, Fraction(0)) + linv * t
-            cols[b_idx] = col
-        return SparseMatrix(self.size, cols)
-
-    def tau(self, i: int) -> SparseMatrix:
-        def build(i):
-            rs = self.rs
-            cols: dict[int, dict[int, Fraction]] = {}
-            for b_idx, beta in enumerate(rs.positive_roots):
-                p = rs.pairing_simple(i, beta)
-                col: dict[int, Fraction] = {}
-                if p == 1:
-                    col[rs.root_index[rs.sub_simple(beta, i)]] = Fraction(1)
-                elif p == 0:
-                    col[b_idx] = self.c0
-                elif p == -1:
-                    col[rs.root_index[rs.add_simple(beta, i)]] = Fraction(1)
-                    col[b_idx] = -self.m0
-                if col:
-                    cols[b_idx] = col
-            return SparseMatrix(self.size, cols)
-
-        return self._get("tau", i, build)
-
-    def identity_matrix(self) -> SparseMatrix:
-        return SparseMatrix.identity(self.size, Fraction(1))
-
-    def e_and_f(self, i: int) -> tuple[SparseMatrix, SparseMatrix]:
-        f = self._get("f", i, lambda k: (
-            self.sigma(k) * self.sigma(k) + self.sigma(k).scale(self.m0)
-            - self.identity_matrix()))
-        e = self._get("e", i, lambda k: f.scale(self.l0 / self.m0))
-        return e, f
-
-    def e_matrix(self, i: int) -> SparseMatrix:
-        return self.e_and_f(i)[0]
-
-    def sigma_inv(self, i: int) -> SparseMatrix:
-        return self._get("sinv", i, lambda k: (
-            self.sigma(k) + (self.identity_matrix() - self.e_matrix(k)).scale(self.m0)))
+        s_len = len(rs.s_beta_word(beta))
+        pos = 1 + s_len + len(rs.d_beta_word(beta))
+        inv = s_len + len(rs.d_beta_word(rs.alpha(i)))
+        return self.m * self.c0 ** pos * (self.c0 + self.m) ** inv
 
 
 def _ip_add(store: dict, key, c) -> None:

@@ -209,22 +209,6 @@ class RootSystem:
                 out.append(j)
         return tuple(out)
 
-    def root_query(self, kind: str, beta: Root, node: int | None = None):
-        self.require_root(beta)
-        if kind == "height":
-            return self.height(beta)
-        if kind == "support":
-            return self.support(beta)
-        if kind == "coeff":
-            return self.coeff(node, beta)
-        if kind == "proj":
-            return self.proj(node, beta)
-        if kind == "geod":
-            return self.geod(node, beta)
-        if kind == "jset":
-            return self.jset(node, beta)
-        raise ValueError(f"unknown root query {kind!r}")
-
     # -- Weyl group elements ----------------------------------------------
 
     def simple_reflection(self, i: int) -> Weyl:
@@ -287,18 +271,6 @@ class RootSystem:
         for i in word:
             out = self.right_mul_simple(out, i)
         return out
-
-    def weyl(self, kind: str, *args):
-        ops = {
-            "compose": self.compose,
-            "invert": self.invert,
-            "act": self.act,
-            "length": self.weyl_length,
-            "reduced_word": self.reduced_word,
-        }
-        if kind not in ops:
-            raise ValueError(f"unknown weyl operation {kind!r}")
-        return ops[kind](*args)
 
     # -- minimal coset words ------------------------------------------------
 

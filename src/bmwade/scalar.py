@@ -62,10 +62,6 @@ def p_neg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
 
-def p_sub(a: Poly, b: Poly) -> Poly:
-    return p_add(a, p_neg(b))
-
-
 def p_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return P_ZERO
@@ -435,24 +431,7 @@ def _poly_str(p: Poly, var: str = "m") -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def arith(kind: str, a: Scalar, b: Scalar) -> Scalar:
-    """Dispatch form of the four ring operations."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arith kind {kind!r}")
-
-
 def x_value() -> Scalar:
     """The derived parameter x = 1 - (l - l^-1)/m."""
     m_inv = (P_ONE, P_VAR)
     return Scalar({0: (P_ONE, P_ONE), 1: _rf_neg(m_inv), -1: m_inv})
-
-
-def eval_at(a: Scalar, l0, m0) -> Fraction:
-    return a.eval_at(l0, m0)

@@ -18,15 +18,19 @@ confirms nor denies them.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .hecke import HeckeElement
-from .lkrep import CharacterSpecialization, LawrenceKrammer, SparseMatrix, build_lk
+from .lkrep import (
+    CharacterSpecialization,
+    LawrenceKrammer,
+    LKRepresentation,
+    SparseMatrix,
+    build_lk,
+)
 from .rootsys import build_type, enumerate_parabolic, parabolic_order, weyl_order
-from .scalar import Scalar, x_value
+from .scalar import Scalar
 from .wordalg import reduce_word, rep_image_word
 
 GENERIC_TYPES = ("A1", "A2", "A3", "A4", "A5", "D4", "D5")
@@ -34,11 +38,6 @@ SUITE_NAMES = ("braid", "essential", "eiproj", "table1", "zaction", "tau_monoid"
 DEFAULT_L0 = Fraction(5, 7)
 DEFAULT_R0 = Fraction(3, 2)
 POINT_SEED = 20260801
-
-_M = Scalar.m()
-_L = Scalar.l(1)
-_L_INV = Scalar.l(-1)
-_X = x_value()
 
 
 class UnsupportedModeError(ValueError):
@@ -58,7 +57,6 @@ class SuiteReport:
     type_label: str
     mode: str
     checks: list[CheckResult] = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -81,7 +79,7 @@ class SuiteReport:
         }
 
     def text_lines(self) -> list[str]:
-        lines = [f"suite {self.suite} on {self.type_label} ({self.mode}), {self.elapsed:.2f}s"]
+        lines = [f"suite {self.suite} on {self.type_label} ({self.mode})"]
         for c in self.checks:
             status = "pass" if c.ok else "FAIL"
             extra = "" if c.witness is None else f"  [{c.witness}]"
@@ -100,100 +98,6 @@ def seeded_points(count: int = 2, seed: int = POINT_SEED) -> list[tuple[Fraction
             continue
         points.append((l0, r0))
     return points
-
-
-class _Context:
-    """Uniform access to the matrices and coefficients in one evaluation mode.
-
-    Generic mode works with symbolic Hecke entries; specialized mode works
-    with exact rationals through the classical character, in which case the
-    whole coefficient recursion runs at the character level and generic
-    elements are never materialized.
-    """
-
-    def __init__(self, lk: LawrenceKrammer, mode: str, l0=None, r0=None):
-        self.lk = lk
-        self.rs = lk.rs
-        self.mode = mode
-        if mode == "generic":
-            self.impl = lk
-            self.scalars = {"one": Scalar.one(), "m": _M, "l": _L, "linv": _L_INV, "x": _X}
-        elif mode == "specialized":
-            try:
-                self.impl = CharacterSpecialization(lk, l0, r0)
-            except ValueError as exc:
-                raise UnsupportedModeError(str(exc)) from exc
-            char = self.impl
-            self.scalars = {
-                "one": Fraction(1),
-                "m": char.m0,
-                "l": char.l0,
-                "linv": 1 / char.l0,
-                "x": char.x0,
-            }
-        else:
-            raise UnsupportedModeError(f"unknown mode {mode!r}")
-
-    def S(self, i) -> SparseMatrix:
-        return self.impl.sigma(i)
-
-    def Sinv(self, i) -> SparseMatrix:
-        return self.impl.sigma_inv(i)
-
-    def E(self, i) -> SparseMatrix:
-        return self.impl.e_matrix(i)
-
-    def F(self, i) -> SparseMatrix:
-        return self.impl.e_and_f(i)[1]
-
-    def Tau(self, i) -> SparseMatrix:
-        return self.impl.tau(i)
-
-    def I(self) -> SparseMatrix:
-        return self.impl.identity_matrix()
-
-    def word(self, word) -> SparseMatrix:
-        out = self.I()
-        for i in word:
-            out = out * self.S(i)
-        return out
-
-    def smul(self, mat: SparseMatrix, name: str) -> SparseMatrix:
-        return mat.scale(self.scalars[name])
-
-    # -- coefficient-level values (T, z, and friends) ---------------------
-
-    def t(self, i, beta):
-        if self.mode == "generic":
-            return self.lk.t_coeff(i, beta)
-        return self.impl.t_char(i, beta)
-
-    def zh(self, node: int):
-        if self.mode == "generic":
-            return self.lk.z(node)
-        return self.impl.c0
-
-    def zh_inv(self, node: int):
-        if self.mode == "generic":
-            return self.lk.z(node) + self.lk.unit().scale(_M)
-        return self.impl.c0 + self.impl.m0
-
-    def coeff(self, name: str):
-        """A ground scalar as a coefficient-ring element."""
-        if self.mode == "generic":
-            return self.lk.unit().scale(self.scalars[name])
-        return self.scalars[name]
-
-    def cscale(self, value, name: str):
-        if self.mode == "generic":
-            return value.scale(self.scalars[name])
-        return value * self.scalars[name]
-
-    def hval(self, helem: HeckeElement):
-        """A generic Hecke element as an entry in this mode's ring."""
-        if self.mode == "generic":
-            return helem
-        return self.impl.hval(helem)
 
 
 def _mat_witness(a: SparseMatrix, b: SparseMatrix, rs) -> str | None:
@@ -215,92 +119,93 @@ def _check_eq(out: list, name: str, a: SparseMatrix, b: SparseMatrix, rs):
 
 
 # -- individual suites ------------------------------------------------------
+#
+# Each suite takes the representation itself (generic or character): its
+# matrices, its T lookup, its z and z^-1, and its ground scalars m, l,
+# linv, x, which right-multiply entries.
 
 
-def _suite_braid(ctx: _Context) -> list[CheckResult]:
-    rs, out = ctx.rs, []
+def _suite_braid(rep: LKRepresentation) -> list[CheckResult]:
+    rs, out, S = rep.rs, [], rep.sigma
     for i in rs.nodes:
         for j in rs.nodes:
             if j <= i:
                 continue
             if j in rs.neighbors[i]:
-                _check_eq(out, f"braid_{i}_{j}", ctx.S(i) * ctx.S(j) * ctx.S(i),
-                          ctx.S(j) * ctx.S(i) * ctx.S(j), rs)
+                _check_eq(out, f"braid_{i}_{j}", S(i) * S(j) * S(i), S(j) * S(i) * S(j), rs)
             else:
-                _check_eq(out, f"commute_{i}_{j}", ctx.S(i) * ctx.S(j), ctx.S(j) * ctx.S(i), rs)
+                _check_eq(out, f"commute_{i}_{j}", S(i) * S(j), S(j) * S(i), rs)
     return out
 
 
-def _suite_essential(ctx: _Context) -> list[CheckResult]:
-    rs, out = ctx.rs, []
+def _suite_essential(rep: LKRepresentation) -> list[CheckResult]:
+    rs, out = rep.rs, []
+    m, ident, zero = rep.m, rep.identity_matrix, SparseMatrix(rep.size)
     for i in rs.nodes:
-        S, E = ctx.S(i), ctx.E(i)
-        _check_eq(out, f"r1_ge_{i}", S * E, ctx.smul(E, "linv"), rs)
-        _check_eq(out, f"r1_eg_{i}", E * S, ctx.smul(E, "linv"), rs)
-        _check_eq(out, f"esq_{i}", E * E, ctx.smul(E, "x"), rs)
-        _check_eq(out, f"cubic_{i}", ctx.F(i) * (S - ctx.smul(ctx.I(), "linv")),
-                  SparseMatrix(ctx.lk.size), rs)
-        _check_eq(out, f"inverse_{i}", S * (S + ctx.smul(ctx.I() - E, "m")), ctx.I(), rs)
+        S, E = rep.sigma(i), rep.e_matrix(i)
+        _check_eq(out, f"r1_ge_{i}", S * E, E.scale(rep.linv), rs)
+        _check_eq(out, f"r1_eg_{i}", E * S, E.scale(rep.linv), rs)
+        _check_eq(out, f"esq_{i}", E * E, E.scale(rep.x), rs)
+        _check_eq(out, f"cubic_{i}", rep.e_and_f(i)[1] * (S - ident().scale(rep.linv)), zero, rs)
+        _check_eq(out, f"inverse_{i}", S * (S + (ident() - E).scale(m)), ident(), rs)
     for i in rs.nodes:
         for j in rs.nodes:
             if i == j:
                 continue
-            Ei, Ej, Si, Sj = ctx.E(i), ctx.E(j), ctx.S(i), ctx.S(j)
+            Ei, Ej, Si, Sj = rep.e_matrix(i), rep.e_matrix(j), rep.sigma(i), rep.sigma(j)
             if j in rs.neighbors[i]:
-                m = ctx.scalars["m"]
-                _check_eq(out, f"r2_{i}_{j}", Ei * Sj * Ei, ctx.smul(Ei, "l"), rs)
-                _check_eq(out, f"wenzl_cross_{i}_{j}", Ei * ctx.Sinv(j) * Ei,
-                          ctx.smul(Ei, "linv"), rs)
+                _check_eq(out, f"r2_{i}_{j}", Ei * Sj * Ei, Ei.scale(rep.l), rs)
+                _check_eq(out, f"wenzl_cross_{i}_{j}", Ei * rep.sigma_inv(j) * Ei,
+                          Ei.scale(rep.linv), rs)
                 _check_eq(out, f"iji_gge_a_{i}_{j}", Sj * Si * Ej, Ei * Sj * Si, rs)
                 _check_eq(out, f"iji_gge_b_{i}_{j}", Sj * Si * Ej, Ei * Ej, rs)
-                _check_eq(out, f"iji_geg_a_{i}_{j}", Sj * Ei * Sj, ctx.Sinv(i) * Ej * ctx.Sinv(i), rs)
+                _check_eq(out, f"iji_geg_a_{i}_{j}", Sj * Ei * Sj,
+                          rep.sigma_inv(i) * Ej * rep.sigma_inv(i), rs)
                 expanded = (Si * Ej * Si
                             + (Ej * Si - Ei * Sj + Si * Ej - Sj * Ei).scale(m)
                             + (Ej - Ei).scale(m * m))
                 _check_eq(out, f"iji_geg_b_{i}_{j}", Sj * Ei * Sj, expanded, rs)
-                _check_eq(out, f"iji_eeg_a_{i}_{j}", Ej * Ei * Sj, Ej * ctx.Sinv(i), rs)
+                _check_eq(out, f"iji_eeg_a_{i}_{j}", Ej * Ei * Sj, Ej * rep.sigma_inv(i), rs)
                 _check_eq(out, f"iji_eeg_b_{i}_{j}", Ej * Ei * Sj,
                           Ej * Si + (Ej - Ej * Ei).scale(m), rs)
-                _check_eq(out, f"iji_gee_a_{i}_{j}", Sj * Ei * Ej, ctx.Sinv(i) * Ej, rs)
+                _check_eq(out, f"iji_gee_a_{i}_{j}", Sj * Ei * Ej, rep.sigma_inv(i) * Ej, rs)
                 _check_eq(out, f"iji_gee_b_{i}_{j}", Sj * Ei * Ej,
                           Si * Ej + (Ej - Ei * Ej).scale(m), rs)
                 _check_eq(out, f"iji_eje_{i}_{j}", Ei * Ej * Ei, Ei, rs)
             elif j > i:
-                _check_eq(out, f"ee_zero_{i}_{j}", Ei * Ej, SparseMatrix(ctx.lk.size), rs)
+                _check_eq(out, f"ee_zero_{i}_{j}", Ei * Ej, zero, rs)
                 _check_eq(out, f"commute_eg_{i}_{j}", Ei * Sj, Sj * Ei, rs)
                 _check_eq(out, f"commute_ee_{i}_{j}", Ei * Ej, Ej * Ei, rs)
     return out
 
 
-def _suite_eiproj(ctx: _Context) -> list[CheckResult]:
-    rs, lk, out = ctx.rs, ctx.lk, []
+def _suite_eiproj(rep: LKRepresentation) -> list[CheckResult]:
+    rs, out, t, linv = rep.rs, [], rep.t_coeff, rep.linv
+    one = rep.unit()
     for i in rs.nodes:
         cols: dict[int, dict[int, object]] = {}
         ai_idx = rs.root_index[rs.alpha(i)]
         for b_idx, beta in enumerate(rs.positive_roots):
             p = rs.pairing_simple(i, beta)
             if p == 2:
-                coeff = ctx.cscale(ctx.coeff("linv"), "linv") \
-                    + ctx.cscale(ctx.coeff("m"), "linv") - ctx.coeff("one")
+                coeff = one * linv * linv + one * rep.m * linv - one
             elif p == 0:
-                h = lk.h_node(beta, i)
-                inner = ctx.zh(h) + ctx.coeff("m") + ctx.coeff("linv")
-                coeff = ctx.cscale(ctx.t(i, beta) * inner, "linv")
+                inner = rep.h_elem(beta, i) + one * rep.m + one * linv
+                coeff = t(i, beta) * inner * linv
             elif p == -1:
-                coeff = ctx.cscale(
-                    ctx.t(i, rs.add_simple(beta, i)) + ctx.cscale(ctx.t(i, beta), "linv"),
-                    "linv")
+                coeff = (t(i, rs.add_simple(beta, i)) + t(i, beta) * linv) * linv
             else:
-                inner = ctx.cscale(ctx.t(i, beta), "m") + ctx.cscale(ctx.t(i, beta), "linv")
-                coeff = ctx.cscale(ctx.t(i, rs.sub_simple(beta, i)) + inner, "linv")
+                inner = t(i, beta) * rep.m + t(i, beta) * linv
+                coeff = (t(i, rs.sub_simple(beta, i)) + inner) * linv
             if coeff:
                 cols[b_idx] = {ai_idx: coeff}
-        _check_eq(out, f"eiproj_{i}", ctx.F(i), SparseMatrix(lk.size, cols), rs)
+        _check_eq(out, f"eiproj_{i}", rep.e_and_f(i)[1], SparseMatrix(rep.size, cols), rs)
     return out
 
 
-def _suite_table1(ctx: _Context) -> list[CheckResult]:
-    rs, lk = ctx.rs, ctx.lk
+def _suite_table1(rep: LKRepresentation) -> list[CheckResult]:
+    """The rows of the T equation table, restated independently of the recursion."""
+    rs, t, m = rep.rs, rep.t_coeff, rep.m
     out = []
 
     def run(name, instances):
@@ -311,17 +216,16 @@ def _suite_table1(ctx: _Context) -> list[CheckResult]:
         out.append(CheckResult(name, True))
 
     roots = rs.positive_roots
-    zero = ctx.coeff("one") - ctx.coeff("one")
 
     run("t_row1_zero", (
-        (f"i={i} beta=alpha_{j}", ctx.t(i, rs.alpha(j)), zero)
+        (f"i={i} beta=alpha_{j}", t(i, rs.alpha(j)), rep.zero())
         for i in rs.nodes for j in rs.nodes if i != j
     ))
     run("t_row2_unit", (
-        (f"i={i}", ctx.t(i, rs.alpha(i)), ctx.coeff("one")) for i in rs.nodes
+        (f"i={i}", t(i, rs.alpha(i)), rep.unit()) for i in rs.nodes
     ))
     run("t_row3_m", (
-        (f"i={i} j={j}", ctx.t(i, rs.add_simple(rs.alpha(i), j)), ctx.coeff("m"))
+        (f"i={i} j={j}", t(i, rs.add_simple(rs.alpha(i), j)), rep.unit() * m)
         for i in rs.nodes for j in rs.neighbors[i]
     ))
 
@@ -333,9 +237,9 @@ def _suite_table1(ctx: _Context) -> list[CheckResult]:
                         continue
                     if beta == rs.alpha(j):
                         continue
-                    hinv = ctx.zh_inv(lk.h_node(rs.alpha(i), j))
-                    yield (f"i={i} j={j} beta={beta}", ctx.t(i, beta),
-                           hinv * ctx.t(i, rs.sub_simple(beta, j)))
+                    hinv = rep.z_inv(rep.h_node(rs.alpha(i), j))
+                    yield (f"i={i} j={j} beta={beta}", t(i, beta),
+                           hinv * t(i, rs.sub_simple(beta, j)))
 
     def row5():
         for beta in roots:
@@ -346,8 +250,8 @@ def _suite_table1(ctx: _Context) -> list[CheckResult]:
                     if rs.pairing_simple(j, beta) != 1 or beta == rs.alpha(j):
                         continue
                     gamma = rs.sub_simple(beta, j)
-                    yield (f"i={i} j={j} beta={beta}", ctx.t(i, beta),
-                           ctx.t(j, rs.sub_simple(gamma, i)) + ctx.cscale(ctx.t(i, gamma), "m"))
+                    yield (f"i={i} j={j} beta={beta}", t(i, beta),
+                           t(j, rs.sub_simple(gamma, i)) + t(i, gamma) * m)
 
     def row6():
         for beta in roots:
@@ -358,9 +262,8 @@ def _suite_table1(ctx: _Context) -> list[CheckResult]:
                     if rs.pairing_simple(j, beta) != 1 or beta == rs.alpha(j):
                         continue
                     gamma = rs.sub_simple(beta, j)
-                    yield (f"i={i} j={j} beta={beta}", ctx.t(i, beta),
-                           ctx.t(j, gamma) * ctx.zh(lk.h_node(gamma, i))
-                           + ctx.cscale(ctx.t(i, gamma), "m"))
+                    yield (f"i={i} j={j} beta={beta}", t(i, beta),
+                           t(j, gamma) * rep.h_elem(gamma, i) + t(i, gamma) * m)
 
     def row7():
         for beta in roots:
@@ -370,8 +273,8 @@ def _suite_table1(ctx: _Context) -> list[CheckResult]:
                 for j in rs.neighbors[i]:
                     if rs.pairing_simple(j, beta) != 0:
                         continue
-                    yield (f"i={i} j={j} beta={beta}", ctx.t(i, beta),
-                           ctx.t(j, rs.sub_simple(beta, i)) * ctx.zh_inv(lk.h_node(beta, j)))
+                    yield (f"i={i} j={j} beta={beta}", t(i, beta),
+                           t(j, rs.sub_simple(beta, i)) * rep.z_inv(rep.h_node(beta, j)))
 
     run("t_row4_commuting", row4())
     run("t_row5_adjacent0", row5())
@@ -387,16 +290,20 @@ def _suite_table1(ctx: _Context) -> list[CheckResult]:
                     if j < i or rs.pairing_simple(j, beta) != 0:
                         continue
                     yield (f"i={i} j={j} beta={beta}",
-                           ctx.t(i, beta) * ctx.zh(lk.h_node(beta, j)),
-                           ctx.t(j, beta) * ctx.zh(lk.h_node(beta, i)))
+                           t(i, beta) * rep.h_elem(beta, j),
+                           t(j, beta) * rep.h_elem(beta, i))
 
     run("t_both_orthogonal", jast3())
 
-    if ctx.mode == "generic":
-        ok = all(lk.t_coeff(i, beta).is_l_free() for i in rs.nodes for beta in roots)
+    if isinstance(rep, LawrenceKrammer):
+        # l-freeness is a statement about symbolic coefficients; a rational
+        # point has no l left to be free of
+        ok = all(rep.t_coeff(i, beta).is_l_free() for i in rs.nodes for beta in roots)
         out.append(CheckResult("t_lfree", ok))
 
     if rs.dtype.label in ("A3", "A4", "D4"):
+        # h against its full-type Hecke evaluation, whatever ring is under test
+        lk = build_lk(rs.dtype.label)
         bad = None
         for beta in roots:
             for i in rs.nodes:
@@ -411,9 +318,9 @@ def _suite_table1(ctx: _Context) -> list[CheckResult]:
     return out
 
 
-def _suite_choice(ctx: _Context) -> list[CheckResult]:
+def _suite_choice(rep: LKRepresentation) -> list[CheckResult]:
     """Choice independence of the commuting-node and adjacent-node steps."""
-    rs, lk = ctx.rs, ctx.lk
+    rs, t, m = rep.rs, rep.t_coeff, rep.m
     out = []
     bad_iv = bad_v = None
     for beta in rs.positive_roots:
@@ -423,21 +330,20 @@ def _suite_choice(ctx: _Context) -> list[CheckResult]:
             p = rs.pairing_simple(i, beta)
             if p not in (0, -1):
                 continue
-            expected = ctx.t(i, beta)
+            expected = t(i, beta)
             for j in rs.nodes:
                 if rs.pairing_simple(j, beta) != 1:
                     continue
                 if j != i and j not in rs.neighbors[i]:
-                    val = ctx.zh_inv(lk.h_node(rs.alpha(i), j)) * ctx.t(i, rs.sub_simple(beta, j))
+                    val = rep.z_inv(rep.h_node(rs.alpha(i), j)) * t(i, rs.sub_simple(beta, j))
                     if val != expected and bad_iv is None:
                         bad_iv = f"i={i} j={j} beta={beta}"
                 elif j in rs.neighbors[i]:
                     gamma = rs.sub_simple(beta, j)
                     if p == 0:
-                        val = ctx.t(j, rs.sub_simple(gamma, i)) + ctx.cscale(ctx.t(i, gamma), "m")
+                        val = t(j, rs.sub_simple(gamma, i)) + t(i, gamma) * m
                     else:
-                        val = ctx.t(j, gamma) * ctx.zh(lk.h_node(gamma, i)) \
-                            + ctx.cscale(ctx.t(i, gamma), "m")
+                        val = t(j, gamma) * rep.h_elem(gamma, i) + t(i, gamma) * m
                     if val != expected and bad_v is None:
                         bad_v = f"i={i} j={j} beta={beta}"
     out.append(CheckResult("t_choice_commuting_step", bad_iv is None, bad_iv))
@@ -445,8 +351,8 @@ def _suite_choice(ctx: _Context) -> list[CheckResult]:
     return out
 
 
-def _suite_zaction(ctx: _Context) -> list[CheckResult]:
-    rs, lk = ctx.rs, ctx.lk
+def _suite_zaction(rep: LKRepresentation) -> list[CheckResult]:
+    rs = rep.rs
     out = []
     for i in rs.nodes:
         ai_idx = rs.root_index[rs.alpha(i)]
@@ -455,10 +361,10 @@ def _suite_zaction(ctx: _Context) -> list[CheckResult]:
             for j in rs.nodes:
                 if j == k or j in rs.neighbors[k]:
                     continue
-                mat = (ctx.word(rs.geodesic_word(k, i)) * ctx.S(j)
-                       * ctx.word(rs.geodesic_word(i, k)) * ctx.E(i))
+                mat = (rep.word_matrix(rs.geodesic_word(k, i)) * rep.sigma(j)
+                       * rep.word_matrix(rs.geodesic_word(i, k)) * rep.e_matrix(i))
                 col = mat.column(ai_idx)
-                expect = ctx.cscale(ctx.zh(lk.h_node(rs.alpha(k), j)), "x")
+                expect = rep.h_elem(rs.alpha(k), j) * rep.x
                 good = set(col) <= {ai_idx} and col.get(ai_idx, 0) == expect
                 if not good and bad is None:
                     bad = f"j={j} k={k}"
@@ -466,13 +372,13 @@ def _suite_zaction(ctx: _Context) -> list[CheckResult]:
     return out
 
 
-def _suite_tau(ctx: _Context) -> list[CheckResult]:
-    rs, out = ctx.rs, []
+def _suite_tau(rep: LKRepresentation) -> list[CheckResult]:
+    rs, out = rep.rs, []
     for i in rs.nodes:
         for j in rs.nodes:
             if j <= i:
                 continue
-            Ti, Tj = ctx.Tau(i), ctx.Tau(j)
+            Ti, Tj = rep.tau(i), rep.tau(j)
             if j in rs.neighbors[i]:
                 _check_eq(out, f"tau_braid_{i}_{j}", Ti * Tj * Ti, Tj * Ti * Tj, rs)
             else:
@@ -484,7 +390,7 @@ _SUITE_FNS = {
     "braid": _suite_braid,
     "essential": _suite_essential,
     "eiproj": _suite_eiproj,
-    "table1": lambda ctx: _suite_table1(ctx) + _suite_choice(ctx),
+    "table1": lambda rep: _suite_table1(rep) + _suite_choice(rep),
     "zaction": _suite_zaction,
     "tau_monoid": _suite_tau,
 }
@@ -494,25 +400,27 @@ def run_suite(suite: str, type_label: str, mode: str = "generic",
               l0=None, r0=None) -> SuiteReport:
     if suite != "all" and suite not in SUITE_NAMES:
         raise UnsupportedModeError(f"unknown suite {suite!r}")
-    if mode == "generic" and type_label not in GENERIC_TYPES:
-        raise UnsupportedModeError(
-            f"generic mode supports {', '.join(GENERIC_TYPES)}; "
-            f"use specialized mode for {type_label}")
-    if mode == "specialized":
+    if mode == "generic":
+        if type_label not in GENERIC_TYPES:
+            raise UnsupportedModeError(
+                f"generic mode supports {', '.join(GENERIC_TYPES)}; "
+                f"use specialized mode for {type_label}")
+        rep = build_lk(type_label)
+        mode_label = "generic"
+    elif mode == "specialized":
         l0 = DEFAULT_L0 if l0 is None else Fraction(l0)
         r0 = DEFAULT_R0 if r0 is None else Fraction(r0)
+        try:
+            rep = CharacterSpecialization(build_lk(type_label), l0, r0)
+        except ValueError as exc:
+            raise UnsupportedModeError(str(exc)) from exc
         mode_label = f"specialized l={l0} r={r0}"
-    elif mode == "generic":
-        mode_label = "generic"
     else:
         raise UnsupportedModeError(f"unknown mode {mode!r}")
-    start = time.monotonic()
-    ctx = _Context(build_lk(type_label), mode, l0, r0)
     names = SUITE_NAMES if suite == "all" else (suite,)
     report = SuiteReport(suite, type_label, mode_label)
     for name in names:
-        report.checks.extend(_SUITE_FNS[name](ctx))
-    report.elapsed = time.monotonic() - start
+        report.checks.extend(_SUITE_FNS[name](rep))
     return report.sort()
 
 
@@ -626,7 +534,6 @@ def _a2_vector(lk: LawrenceKrammer, word, l0: Fraction, m0: Fraction) -> list[Fr
 
 def a2_dimension_check() -> SuiteReport:
     """Pin dim B(A2) = 15: independent images plus closure under generators."""
-    start = time.monotonic()
     lk = build_lk("A2")
     rs = lk.rs
     l0, m0 = DEFAULT_L0, Fraction(3, 2)
@@ -654,5 +561,4 @@ def a2_dimension_check() -> SuiteReport:
                 if outside and bad is None:
                     bad = f"product {product} leaves span via {outside[0]}"
     report.checks.append(CheckResult("closure", bad is None, bad))
-    report.elapsed = time.monotonic() - start
     return report.sort()

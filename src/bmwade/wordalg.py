@@ -220,14 +220,6 @@ def reduce_word(rs: RootSystem, word: BmwWord) -> dict:
     return comb
 
 
-def reduce_combination(rs: RootSystem, comb: dict) -> dict:
-    out: dict[BmwWord, Scalar] = {}
-    for w, c in comb.items():
-        for rw, rc in reduce_word(rs, w).items():
-            _combine(out, rw, c * rc)
-    return out
-
-
 def rep_image_word(lk: LawrenceKrammer, word: BmwWord) -> tuple[HeckeElement, SparseMatrix]:
     """Image of a single word in the Hecke quotient and in the LK module."""
     rs = lk.rs

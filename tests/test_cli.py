@@ -55,11 +55,15 @@ def test_roots_json_round_trip(capsys):
 
 
 def test_deterministic_output(capsys):
-    first = run(capsys, "verify", "--type", "A3", "--suite", "table1", "--json")
-    second = run(capsys, "verify", "--type", "A3", "--suite", "table1", "--json")
-    assert first == second
-    parsed = json.loads(first[1])
+    for fmt in (["--json"], []):
+        first = run(capsys, "verify", "--type", "A3", "--suite", "table1", *fmt)
+        second = run(capsys, "verify", "--type", "A3", "--suite", "table1", *fmt)
+        assert first == second
+        assert first[0] == 0
+    parsed = json.loads(run(capsys, "verify", "--type", "A3", "--suite", "table1", "--json")[1])
     assert parsed["passed"] is True
+    text = run(capsys, "verify", "--type", "A3", "--suite", "table1")[1]
+    assert text.splitlines()[0] == "suite table1 on A3 (generic)"
 
 
 def test_reduce_and_hbeta_and_tcoeff(capsys):
@@ -99,18 +103,34 @@ def test_matrices_theta_lk(capsys):
     assert set(data["gamma"]) == {"1", "2"}
 
 
-def test_cache_dir_round_trip(tmp_path, capsys):
+def test_tcoeff_is_identical_after_a_cold_start(capsys):
     import bmwade.lkrep as lkrep
 
-    args = ["--cache-dir", str(tmp_path), "tcoeff", "--type", "A3",
-            "--node", "1", "--root", "1,1,1", "--json"]
+    args = ["tcoeff", "--type", "A3", "--node", "1", "--root", "1,1,1", "--json"]
     code, first, _ = run(capsys, *args)
     assert code == 0
-    cache_file = tmp_path / "A3.tcoeff.json"
-    assert cache_file.exists()
     lkrep.build_lk.cache_clear()
     code, second, _ = run(capsys, *args)
     assert code == 0 and first == second
+
+
+def test_cache_dir_is_rejected_and_writes_nothing(tmp_path, capsys):
+    code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "tcoeff", "--type", "A3",
+                       "--node", "1", "--root", "1,1,1", "--json")
+    assert code == 2 and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_matrices_theta_at_r_zero_is_usage_error(capsys):
+    code, out, err = run(capsys, "matrices", "--type", "A2", "--theta", "lk", "--r", "0")
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_matrices_r_without_theta_is_usage_error(capsys):
+    code, out, err = run(capsys, "matrices", "--type", "A2", "--r", "3/2")
+    assert code == 2 and out == ""
+    assert "--theta" in err
 
 
 def test_verify_a2dim_suite(capsys):
@@ -118,3 +138,10 @@ def test_verify_a2dim_suite(capsys):
     assert code == 0
     code, _, err = run(capsys, "verify", "--type", "A3", "--suite", "a2dim")
     assert code == 2
+
+
+def test_verify_a2dim_specialized_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--type", "A2", "--suite", "a2dim",
+                         "--specialize", "l=5/7,r=3/2")
+    assert code == 2 and out == ""
+    assert "a2dim" in err

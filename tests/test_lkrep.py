@@ -162,13 +162,30 @@ def test_gamma_specialize_commutes_on_d4():
                 assert vs == vn
 
 
+def _specialize(lk, mat, l0, r0):
+    """Reference route: evaluate each generic entry under z -> 1/r0 at (l0, r0).
+
+    A Hecke basis element T_w goes to (1/r0)^len(w); its Scalar coefficient
+    is evaluated at l = l0, m = r0 - 1/r0.
+    """
+    m0, c0 = r0 - 1 / r0, 1 / r0
+
+    def value(helem):
+        return sum((coeff.eval_at(l0, m0) * c0 ** len(lk.rs.reduced_word(w))
+                    for w, coeff in helem.terms.items()), Fraction(0))
+
+    return mat.map_entries(value)
+
+
 @pytest.mark.parametrize("label", ["A3", "D4"])
 def test_character_route_equals_specialized_generic(label):
     lk = build_lk(label)
-    spec = CharacterSpecialization(lk, Fraction(5, 7), Fraction(3, 2))
+    l0, r0 = Fraction(5, 7), Fraction(3, 2)
+    spec = CharacterSpecialization(lk, l0, r0)
     for i in lk.rs.nodes:
-        assert spec.sigma(i) == lk.specialize_matrix(lk.sigma(i), Fraction(5, 7), Fraction(3, 2))
-        assert spec.e_matrix(i) == lk.specialize_matrix(lk.e_matrix(i), Fraction(5, 7), Fraction(3, 2))
+        for name in ("sigma", "e_matrix", "tau", "sigma_inv"):
+            generic = getattr(lk, name)(i)
+            assert getattr(spec, name)(i) == _specialize(lk, generic, l0, r0), (name, i)
 
 
 def test_character_rejects_degenerate_points():

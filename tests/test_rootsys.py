@@ -90,13 +90,13 @@ def test_reflect_examples():
 def test_root_queries():
     rs = build_type("D4")
     a12 = (1, 1, 0, 0)
-    assert rs.root_query("height", a12) == 2
-    assert rs.root_query("support", a12) == (1, 2)
-    assert rs.root_query("coeff", a12, 2) == 1
-    assert rs.root_query("proj", a12, 4) == 2
-    assert rs.root_query("geod", a12, 4) == ()
+    assert rs.height(a12) == 2
+    assert rs.support(a12) == (1, 2)
+    assert rs.coeff(2, a12) == 1
+    assert rs.proj(4, a12) == 2
+    assert rs.geod(4, a12) == ()
     with pytest.raises(ValueError):
-        rs.root_query("height", (5, 5, 5, 5))
+        rs.proj(4, (5, 5, 5, 5))
 
 
 @pytest.mark.parametrize("label", ["A3", "D4"])
@@ -114,7 +114,7 @@ def test_weyl_basics():
     w = rs.word_element((1, 2, 1))
     assert rs.reduced_word(w) == (1, 2, 1)
     assert w == rs.word_element((2, 1, 2))
-    assert rs.weyl("length", w) == 3
+    assert rs.weyl_length(w) == 3
 
 
 def test_length_of_inverse_exhaustive_a3():
