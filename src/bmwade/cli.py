@@ -6,7 +6,8 @@ Subcommands mirror the library layers: ``roots`` (root system data),
 character), ``verify`` (relation suites) and ``dims`` (dimension formulas).
 
 Exit codes: 0 on success or all checks passing, 1 when a verification check
-fails, 2 on usage errors.  Output is deterministic: identical invocations
+fails, 2 on usage errors, 3 on an internal error (any other exception, reported
+as one ``error: internal: <Type>: <message>`` line on stderr).  Output is deterministic: identical invocations
 produce identical bytes, and JSON output re-serializes to itself.
 """
 
@@ -164,8 +165,13 @@ def _cmd_matrices(args) -> int:
 
 
 def _parse_specialize(text: str) -> tuple[Fraction, Fraction]:
-    parts = dict(p.split("=", 1) for p in text.split(",") if "=" in p)
-    if set(parts) != {"l", "r"}:
+    parts = {}
+    for part in text.split(","):
+        key, eq, value = part.partition("=")
+        if not eq or key not in ("l", "r") or key in parts:
+            raise UsageError(f"bad part {part!r}: expected --specialize l=<rat>,r=<rat>")
+        parts[key] = value
+    if len(parts) != 2:
         raise UsageError("expected --specialize l=<rat>,r=<rat>")
     return _parse_fraction(parts["l"]), _parse_fraction(parts["r"])
 
@@ -279,6 +285,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"hint: see `bmwade {args.command} --help`", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

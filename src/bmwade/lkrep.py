@@ -86,21 +86,21 @@ class SparseMatrix:
     def __sub__(self, other: SparseMatrix) -> SparseMatrix:
         return self + (-other)
 
+    def apply(self, vec: dict) -> dict:
+        """The column self * vec, left entries first and without zero entries."""
+        acc: dict[int, object] = {}
+        for g, bval in vec.items():
+            acol = self.cols.get(g)
+            if not acol:
+                continue
+            for r, aval in acol.items():
+                prod = aval * bval
+                cur = acc.get(r)
+                acc[r] = prod if cur is None else cur + prod
+        return {r: v for r, v in acc.items() if v}
+
     def __mul__(self, other: SparseMatrix) -> SparseMatrix:
-        out: dict[int, dict[int, object]] = {}
-        for c, bcol in other.cols.items():
-            acc: dict[int, object] = {}
-            for g, bval in bcol.items():
-                acol = self.cols.get(g)
-                if not acol:
-                    continue
-                for r, aval in acol.items():
-                    prod = aval * bval
-                    cur = acc.get(r)
-                    acc[r] = prod if cur is None else cur + prod
-            if acc:
-                out[c] = acc
-        return SparseMatrix(self.size, out)
+        return SparseMatrix(self.size, {c: self.apply(col) for c, col in other.cols.items()})
 
     def map_entries(self, fn) -> SparseMatrix:
         return SparseMatrix(self.size, {c: {r: fn(v) for r, v in col.items()} for c, col in self.cols.items()})
@@ -373,11 +373,11 @@ class LKRepresentation:
             self._sigma_inv[i] = cached
         return cached
 
-    def word_matrix(self, word) -> SparseMatrix:
-        out = self.identity_matrix()
-        for i in word:
-            out = out * self.sigma(i)
-        return out
+    def word_apply(self, word, vec: dict) -> dict:
+        """sigma_{w_1} ... sigma_{w_k} applied to the column vec, last letter first."""
+        for i in reversed(word):
+            vec = self.sigma(i).apply(vec)
+        return vec
 
 
 class LawrenceKrammer(LKRepresentation):

@@ -352,6 +352,7 @@ def _suite_choice(rep: LKRepresentation) -> list[CheckResult]:
 
 
 def _suite_zaction(rep: LKRepresentation) -> list[CheckResult]:
+    """The x_{alpha_i} column of W(k,i) sigma_j W(i,k) e_i, pushed through the factors."""
     rs = rep.rs
     out = []
     for i in rs.nodes:
@@ -361,9 +362,8 @@ def _suite_zaction(rep: LKRepresentation) -> list[CheckResult]:
             for j in rs.nodes:
                 if j == k or j in rs.neighbors[k]:
                     continue
-                mat = (rep.word_matrix(rs.geodesic_word(k, i)) * rep.sigma(j)
-                       * rep.word_matrix(rs.geodesic_word(i, k)) * rep.e_matrix(i))
-                col = mat.column(ai_idx)
+                col = rep.word_apply(rs.geodesic_word(i, k), rep.e_matrix(i).column(ai_idx))
+                col = rep.word_apply(rs.geodesic_word(k, i), rep.sigma(j).apply(col))
                 expect = rep.h_elem(rs.alpha(k), j) * rep.x
                 good = set(col) <= {ai_idx} and col.get(ai_idx, 0) == expect
                 if not good and bad is None:

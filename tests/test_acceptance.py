@@ -79,7 +79,7 @@ def test_criterion_2_dimension_formulas():
 
 
 def test_criterion_3_generic_relation_suites():
-    sw = _Stopwatch(3, 300.0)
+    sw = _Stopwatch(3, 60.0)
     for label in ("A2", "A3", "A4", "A5", "D4", "D5"):
         report = run_suite("all", label, "generic")
         bad = [c for c in report.checks if not c.ok]
@@ -88,7 +88,7 @@ def test_criterion_3_generic_relation_suites():
 
 
 def test_criterion_4_specialized_suites_e_types():
-    sw = _Stopwatch(4, 600.0)
+    sw = _Stopwatch(4, 60.0)
     points = [(DEFAULT_L0, DEFAULT_R0)] + seeded_points()
     for label in ("E6", "E7", "E8"):
         for l0, r0 in points:
@@ -189,8 +189,8 @@ def test_criterion_9_structural_properties():
         # sigma of a geodesic word carries x_{alpha_i} to x_{alpha_k}
         for i in rs.nodes:
             for k in rs.nodes:
-                col = lk.word_matrix(rs.geodesic_word(i, k)).column(
-                    rs.root_index[rs.alpha(i)])
+                col = lk.word_apply(rs.geodesic_word(i, k),
+                                    {rs.root_index[rs.alpha(i)]: lk.unit()})
                 assert col == {rs.root_index[rs.alpha(k)]: lk.unit()}, (label, i, k)
         # every T coefficient is l-free, and f lives in the alpha_i row
         for i in rs.nodes:

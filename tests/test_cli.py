@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bmwade.cli import main
 
 
@@ -145,3 +147,27 @@ def test_verify_a2dim_specialized_is_usage_error(capsys):
                          "--specialize", "l=5/7,r=3/2")
     assert code == 2 and out == ""
     assert "a2dim" in err
+
+
+@pytest.mark.parametrize("spec", [
+    "l=5/7,r=2,junk",      # a part without '='
+    "l=5/7,r=3/2,r=2",     # a repeated key
+    "l=5/7,,r=3/2",        # an empty part
+    "l=5/7,q=3/2",         # an unknown key
+])
+def test_verify_malformed_specialize_is_usage_error(capsys, spec):
+    code, out, err = run(capsys, "verify", "--type", "A2", "--suite", "braid",
+                         "--specialize", spec)
+    assert code == 2 and out == ""
+    assert "--specialize" in err and "Traceback" not in err
+
+
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("simulated failure")
+
+    monkeypatch.setattr("bmwade.cli.run_suite", boom)
+    code, out, err = run(capsys, "verify", "--type", "A2", "--suite", "braid")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: internal: RuntimeError: simulated failure"]
+    assert "Traceback" not in err

@@ -93,8 +93,7 @@ def test_sigma_word_moves_basis_vectors(label):
     rs = lk.rs
     for i in rs.nodes:
         for k in rs.nodes:
-            mat = lk.word_matrix(rs.geodesic_word(i, k))
-            col = mat.column(rs.root_index[rs.alpha(i)])
+            col = lk.word_apply(rs.geodesic_word(i, k), {rs.root_index[rs.alpha(i)]: lk.unit()})
             assert col == {rs.root_index[rs.alpha(k)]: lk.unit()}
 
 
@@ -230,3 +229,36 @@ def test_sparse_matrix_algebra():
     assert a * ident == a and ident * a == a
     assert (a - a).is_zero()
     assert (a + a) == a.scale(Fraction(2))
+
+
+def _product_column(a, b, c):
+    """Reference column c of a * b, one cell at a time, left entry first."""
+    out = {}
+    for r in range(a.size):
+        acc = None
+        for g, bval in b.column(c).items():
+            aval = a.entry(r, g)
+            if aval is not None:
+                acc = aval * bval if acc is None else acc + aval * bval
+        if acc:
+            out[r] = acc
+    return out
+
+
+@pytest.mark.parametrize("label,point", [
+    ("A3", None),
+    ("A4", None),  # C is of type A2, so the generic entries do not commute
+    ("E6", (Fraction(5, 7), Fraction(3, 2))),
+])
+def test_apply_is_one_column_of_the_product(label, point):
+    lk = build_lk(label)
+    rep = lk if point is None else CharacterSpecialization(lk, *point)
+    i, j = rep.rs.nodes[0], rep.rs.nodes[1]
+    mats = [rep.sigma(i), rep.e_matrix(j), rep.sigma_inv(i), rep.sigma(j)]
+    for a in mats:
+        for b in mats:
+            prod = a * b
+            for c in range(rep.size):
+                col = a.apply(b.column(c))
+                assert all(col.values())
+                assert col == prod.column(c) == _product_column(a, b, c), (label, c)

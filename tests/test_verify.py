@@ -3,10 +3,11 @@ from math import factorial
 
 import pytest
 
-from bmwade.lkrep import SparseMatrix, build_lk
+from bmwade.lkrep import CharacterSpecialization, SparseMatrix, build_lk
 from bmwade.verify import (
     UnsupportedModeError,
     _mat_witness,
+    _suite_zaction,
     a2_dimension_check,
     dims_report,
     rational_rank,
@@ -144,3 +145,17 @@ def test_a2_dimension_check():
 
 def test_sparse_matrix_witness_none_for_equal_zero():
     assert _mat_witness(SparseMatrix(3), SparseMatrix(3), build_lk("A2").rs) is None
+
+
+def test_zaction_catches_a_corrupted_sigma_cell_on_e6():
+    rep = CharacterSpecialization(build_lk("E6"), Fraction(5, 7), Fraction(3, 2))
+    rs = rep.rs
+    beta = next(b for b in rs.positive_roots if rs.pairing_simple(1, b) == 0)
+    b_idx = rs.root_index[beta]
+    s1 = rep.sigma(1)
+    s1.cols[b_idx][b_idx] = s1.cols[b_idx].get(b_idx, 0) + 1
+    assert s1.cols[b_idx][b_idx]
+    rep._ef.clear()
+    checks = _suite_zaction(rep)
+    assert [c.name for c in checks] == [f"zaction_{i}" for i in rs.nodes]
+    assert all(not c.ok and c.witness == "j=1 k=6" for c in checks)
