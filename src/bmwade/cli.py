@@ -6,8 +6,8 @@ Subcommands mirror the library layers: ``roots`` (root system data),
 character), ``verify`` (relation suites) and ``dims`` (dimension formulas).
 
 Exit codes: 0 on success or all checks passing, 1 when a verification check
-fails, 2 on usage errors, 3 on an internal error (any other exception, reported
-as one ``error: internal: <Type>: <message>`` line on stderr).  Output is deterministic: identical invocations
+fails, 2 on usage errors, 3 on any other error (one ``error: internal: <Type>:
+<message>`` line on stderr).  Output is deterministic: identical invocations
 produce identical bytes, and JSON output re-serializes to itself.
 """
 
@@ -165,14 +165,10 @@ def _cmd_matrices(args) -> int:
 
 
 def _parse_specialize(text: str) -> tuple[Fraction, Fraction]:
-    parts = {}
-    for part in text.split(","):
-        key, eq, value = part.partition("=")
-        if not eq or key not in ("l", "r") or key in parts:
-            raise UsageError(f"bad part {part!r}: expected --specialize l=<rat>,r=<rat>")
-        parts[key] = value
-    if len(parts) != 2:
-        raise UsageError("expected --specialize l=<rat>,r=<rat>")
+    items = [p.partition("=") for p in text.split(",")]
+    if len(items) != 2 or sorted(k for k, eq, _ in items if eq) != ["l", "r"]:
+        raise UsageError(f"expected --specialize l=<rat>,r=<rat>, got {text!r}")
+    parts = {k: v for k, _, v in items}
     return _parse_fraction(parts["l"]), _parse_fraction(parts["r"])
 
 

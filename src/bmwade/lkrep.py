@@ -129,16 +129,12 @@ class ThetaSpec:
     images: dict = field(compare=False)
     m_value: tuple
 
-    def m_scalar(self) -> Scalar:
-        return Scalar({0: self.m_value})
-
     def validate(self, rs: RootSystem):
-        m = self.m_scalar()
+        m = Scalar({0: self.m_value})
         one = _dense_identity(self.dimension)
         for j in rs.c_nodes:
             img = self.images[j]
-            lhs = _dense_add(_dense_mul(img, img), _dense_sub(_dense_scale(img, m), one))
-            if any(any(v for v in row) for row in lhs):
+            if _dense_add(_dense_mul(img, img), _dense_scale(img, m)) != one:
                 raise ValueError(f"theta image of node {j} violates the quadratic relation")
         for i in rs.c_nodes:
             for j in rs.c_nodes:
@@ -170,10 +166,6 @@ def _dense_mul(a, b):
 
 def _dense_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _dense_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _dense_scale(a, s):
