@@ -158,7 +158,10 @@ def _cmd_matrices(args) -> int:
         }
     text = _dumps(payload)
     if args.json and args.json is not True:
-        Path(args.json).write_text(text + "\n")
+        try:
+            Path(args.json).write_text(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.json}: {exc.strerror or exc}") from exc
     else:
         print(text)
     return 0

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 from .hecke import HeckeElement, ParabolicError, eval_signed_word, in_parabolic
 from .rootsys import Root, RootSystem, Weyl, build_type
-from .scalar import P_ONE, P_VAR, Scalar, p_const, x_value
+from .scalar import P_ONE, P_VAR, Scalar, x_value
 
 
 class SparseMatrix:
@@ -180,7 +180,7 @@ def classical_lk(rs: RootSystem) -> ThetaSpec:
     """
     r_inv = Scalar.from_ratfunc(P_ONE, P_VAR)
     images = {j: ((r_inv,),) for j in rs.c_nodes}
-    theta = ThetaSpec(1, images, ((Fraction(-1), Fraction(0), Fraction(1)), P_VAR))
+    theta = ThetaSpec(1, images, ((-1, 0, 1), P_VAR))
     theta.validate(rs)
     return theta
 
@@ -191,7 +191,7 @@ def theta_character_at(rs: RootSystem, r0) -> ThetaSpec:
     if r0 == 0:
         raise ValueError("r must be nonzero")
     images = {j: ((Scalar.from_fraction(1 / r0),),) for j in rs.c_nodes}
-    theta = ThetaSpec(1, images, (p_const(r0 - 1 / r0), P_ONE))
+    theta = ThetaSpec(1, images, ((r0 - 1 / r0,), P_ONE))
     theta.validate(rs)
     return theta
 
@@ -413,7 +413,7 @@ class LawrenceKrammer(LKRepresentation):
         C-parabolic.  The product is assembled as a conjugation followed by
         one-sided letter multiplications, which keeps intermediate supports
         small; coefficients stay in Z[m] throughout, so the fast evaluator
-        works on integer tuples and Scalars appear only at the end.
+        works on integer tuples, and the factor m is a shift by one degree.
         """
         rs = self.rs
         raw = _closed_form_eval(
@@ -425,8 +425,8 @@ class LawrenceKrammer(LKRepresentation):
                 raise ParabolicError(
                     f"T closed form for i={i}, beta={beta} left the C-parabolic "
                     f"at {rs.reduced_word(w)}", rs.reduced_word(w))
-            terms[w] = Scalar.from_ratfunc(tuple(Fraction(v) for v in c))
-        return HeckeElement(rs, self.c_set, terms) * self.m
+            terms[w] = Scalar.from_ratfunc((0,) + c)
+        return HeckeElement(rs, self.c_set, terms)
 
     # -- theta expansion -------------------------------------------------------
 

@@ -10,33 +10,41 @@ parameter x is never stored; it is derived on demand from
 
 i.e. x = 1 - (l - l^-1)/m, see :func:`x_value`.
 
-Representation invariants (canonical form):
+Storage is fraction-free: each coefficient is a pair (num, den) of
+polynomials in m with ``int`` coefficients, in canonical form:
 
 * no term has a zero coefficient, and l-exponent keys are unique;
-* each rational function num/den is reduced (gcd is a unit) and den is monic.
+* num and den are coprime over Q[m], their joint integer content is 1, and
+  den has a positive leading coefficient.
 
-Two Scalars are equal as ring elements iff their representations are equal,
-so ``==`` is both cheap and exact.  Values are immutable after construction
-and all operations are pure, which makes them safe to share between threads.
+The form is unique, so two Scalars are equal as ring elements iff their
+representations are equal, and ``==`` is both cheap and exact.  In practice
+every denominator is a monomial c m^k (the working ring is Z[l^+-1, m^+-1]),
+and normalizing costs an m-power strip and one integer gcd; the polynomial
+gcd (a primitive remainder sequence over Z) runs only when division or
+``subst_var`` creates another denominator.  Rational inputs (Fraction or int
+tuples) are cleared of denominators once, on entry; ``items``, ``repr`` and
+``to_json_dict`` present each coefficient Q-monic (num and den divided by the
+leading coefficient of den, as Fractions).  Values are immutable and all
+operations are pure, which makes them safe to share between threads.
 
-Polynomials in m are plain tuples of Fractions, ascending degree, with no
-trailing zeros; the empty tuple is zero.  The same machinery is reused by
-the representation layer with the variable read as r instead of m (the two
-are tied by m = r - r^-1); nothing here depends on the variable's name.
+Polynomials in m are plain tuples, ascending degree, with no trailing zeros;
+the empty tuple is zero.  The same machinery is reused by the representation
+layer with the variable read as r instead of m (the two are tied by
+m = r - r^-1); nothing here depends on the variable's name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator
 
-Poly = tuple  # tuple[Fraction, ...], ascending degree, no trailing zeros
+Poly = tuple  # tuple[int, ...], ascending degree, no trailing zeros
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 P_ZERO: Poly = ()
-P_ONE: Poly = (_F1,)
-P_VAR: Poly = (_F0, _F1)  # the coefficient variable itself (m, or r)
+P_ONE: Poly = (1,)
+P_VAR: Poly = (0, 1)  # the coefficient variable itself (m, or r)
 
 
 class ScalarDomainError(ArithmeticError):
@@ -65,7 +73,7 @@ def p_neg(a: Poly) -> Poly:
 def p_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return P_ZERO
-    out = [_F0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -73,85 +81,116 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     return _ptrim(out)
 
 
-def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ScalarDomainError("polynomial division by zero")
+def _primitive(a: Poly) -> Poly:
+    """a divided by its integer content, with a positive leading coefficient."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else tuple(c // g for c in a)
+
+
+def _prem(a: Poly, b: Poly) -> Poly:
+    """Pseudo-remainder of a by a nonzero b: stays in Z[m]."""
     rem = list(a)
-    quot = [_F0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] * inv_lead
+    nb, lb = len(b), b[-1]
+    while len(rem) >= nb:
+        c, k = rem[-1], len(rem) - nb
+        rem = [v * lb for v in rem]
+        for j, cb in enumerate(b):
+            rem[k + j] -= c * cb
+        while rem and not rem[-1]:
+            rem.pop()
+    return tuple(rem)
+
+
+def p_gcd(a: Poly, b: Poly) -> Poly:
+    """Primitive gcd of two nonzero integer polynomials (positive lead)."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _prem(a, b)
+        if b:
+            b = _primitive(b)
+    return a
+
+
+def _pdiv_exact(a: Poly, b: Poly) -> Poly:
+    """a / b where the primitive b divides a; Gauss's lemma keeps it in Z[m]."""
+    rem = list(a)
+    nb, lb = len(b), b[-1]
+    quot = [0] * (len(a) - nb + 1)
+    for k in range(len(a) - nb, -1, -1):
+        c = rem[k + nb - 1] // lb
         if c:
             quot[k] = c
             for j, cb in enumerate(b):
                 rem[k + j] -= c * cb
-    return _ptrim(quot), _ptrim(rem)
-
-
-def p_gcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, p_divmod(a, b)[1]
-    return p_monic(a)
-
-
-def p_monic(a: Poly) -> Poly:
-    if not a or a[-1] == 1:
-        return a
-    inv = 1 / a[-1]
-    return tuple(c * inv for c in a)
+    return _ptrim(quot)
 
 
 def p_eval(a: Poly, v: Fraction) -> Fraction:
-    acc = _F0
+    acc = Fraction(0)
     for c in reversed(a):
         acc = acc * v + c
     return acc
 
 
-def p_const(q) -> Poly:
-    q = Fraction(q)
-    return (q,) if q else P_ZERO
+def _canon(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Canonical form of num/den, both trimmed int tuples, den nonzero."""
+    if not num:
+        return P_ZERO, P_ONE
+    k = 0
+    while not num[k] and not den[k]:
+        k += 1
+    num, den = num[k:], den[k:]
+    if den.count(0) != len(den) - 1:  # den is not c*m^k: cancel the gcd
+        g = p_gcd(num, den)
+        if len(g) > 1:
+            num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
+    lead = den[-1]
+    if lead != 1:
+        g = gcd(*num, *den)
+        if lead < 0:
+            g = -g
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den = tuple(c // g for c in den)
+    return num, den
 
 
-def ratfunc(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Reduce num/den to canonical form (coprime, monic denominator)."""
-    num = _ptrim(list(num))
-    den = _ptrim(list(den))
+def _from_q(num, den) -> tuple[Poly, Poly]:
+    """Canonical int pair of num/den given with rational (or int) coefficients."""
+    num, den = _ptrim(list(num)), _ptrim(list(den))
     if not den:
         raise ScalarDomainError("rational function with zero denominator")
     if not num:
         return P_ZERO, P_ONE
-    if den != P_ONE:
-        g = p_gcd(num, den)
-        if len(g) > 1:
-            num = p_divmod(num, g)[0]
-            den = p_divmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            inv = 1 / lead
-            num = tuple(c * inv for c in num)
-            den = tuple(c * inv for c in den)
-    return num, den
+    mult = lcm(*(c.denominator for c in num + den))
+    return _canon(tuple((c * mult).numerator for c in num),
+                  tuple((c * mult).numerator for c in den))
 
 
-def _rf_add(a, b):
+def _q_add(a, b):
     an, ad = a
     bn, bd = b
-    if ad == P_ONE and bd == P_ONE:
-        return p_add(an, bn), P_ONE
-    return ratfunc(p_add(p_mul(an, bd), p_mul(bn, ad)), p_mul(ad, bd))
+    if ad == bd:
+        num = p_add(an, bn)
+        return (num, ad) if ad == P_ONE else _canon(num, ad)
+    return _canon(p_add(p_mul(an, bd), p_mul(bn, ad)), p_mul(ad, bd))
 
 
-def _rf_mul(a, b):
+def _q_mul(a, b):
     an, ad = a
     bn, bd = b
     if ad == P_ONE and bd == P_ONE:
         return p_mul(an, bn), P_ONE
-    return ratfunc(p_mul(an, bn), p_mul(ad, bd))
+    return _canon(p_mul(an, bn), p_mul(ad, bd))
 
 
-def _rf_neg(a):
-    return p_neg(a[0]), a[1]
+def _make(terms: dict) -> Scalar:
+    """A Scalar over terms already in canonical form."""
+    s = Scalar.__new__(Scalar)
+    object.__setattr__(s, "_terms", terms)
+    return s
 
 
 class Scalar:
@@ -163,9 +202,9 @@ class Scalar:
         canon: dict[int, tuple[Poly, Poly]] = {}
         if terms:
             for e, (num, den) in terms.items():
-                num, den = ratfunc(num, den)
-                if num:
-                    canon[e] = (num, den)
+                rf = _from_q(num, den)
+                if rf[0]:
+                    canon[e] = rf
         object.__setattr__(self, "_terms", canon)
 
     def __setattr__(self, name, value):  # pragma: no cover - guards immutability
@@ -187,18 +226,14 @@ class Scalar:
 
     @staticmethod
     def l(exp: int = 1) -> Scalar:
-        s = Scalar.__new__(Scalar)
-        object.__setattr__(s, "_terms", {exp: (P_ONE, P_ONE)})
-        return s
+        return _make({exp: (P_ONE, P_ONE)})
 
     @staticmethod
     def from_fraction(q) -> Scalar:
         q = Fraction(q)
         if not q:
             return _ZERO
-        s = Scalar.__new__(Scalar)
-        object.__setattr__(s, "_terms", {0: ((q,), P_ONE)})
-        return s
+        return _make({0: ((q.numerator,), (q.denominator,))})
 
     @staticmethod
     def from_ratfunc(num: Poly, den: Poly = P_ONE, lexp: int = 0) -> Scalar:
@@ -207,7 +242,11 @@ class Scalar:
     # -- structure ---------------------------------------------------
 
     def items(self) -> Iterator[tuple[int, tuple[Poly, Poly]]]:
-        return iter(sorted(self._terms.items()))
+        """Sorted terms, each coefficient Q-monic with Fraction entries."""
+        for e, (num, den) in sorted(self._terms.items()):
+            lead = den[-1]
+            yield e, (tuple(Fraction(c, lead) for c in num),
+                      tuple(Fraction(c, lead) for c in den))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -243,19 +282,15 @@ class Scalar:
             if cur is None:
                 terms[e] = rf
             else:
-                s = _rf_add(cur, rf)
+                s = _q_add(cur, rf)
                 if s[0]:
                     terms[e] = s
                 else:
                     del terms[e]
-        s = Scalar.__new__(Scalar)
-        object.__setattr__(s, "_terms", terms)
-        return s
+        return _make(terms)
 
     def __neg__(self) -> Scalar:
-        s = Scalar.__new__(Scalar)
-        object.__setattr__(s, "_terms", {e: _rf_neg(rf) for e, rf in self._terms.items()})
-        return s
+        return _make({e: (p_neg(num), den) for e, (num, den) in self._terms.items()})
 
     def __sub__(self, other: Scalar) -> Scalar:
         return self + (-other)
@@ -267,20 +302,17 @@ class Scalar:
         for ea, ra in self._terms.items():
             for eb, rb in other._terms.items():
                 e = ea + eb
-                prod = _rf_mul(ra, rb)
+                prod = _q_mul(ra, rb)
                 cur = terms.get(e)
                 if cur is None:
-                    if prod[0]:
-                        terms[e] = prod
+                    terms[e] = prod
                 else:
-                    s = _rf_add(cur, prod)
+                    s = _q_add(cur, prod)
                     if s[0]:
                         terms[e] = s
                     else:
                         del terms[e]
-        s = Scalar.__new__(Scalar)
-        object.__setattr__(s, "_terms", terms)
-        return s
+        return _make(terms)
 
     def __truediv__(self, other: Scalar) -> Scalar:
         """Exact division; raises unless the quotient lies in the ring."""
@@ -290,31 +322,30 @@ class Scalar:
             return _ZERO
         if len(other._terms) == 1:
             (e, (num, den)), = other._terms.items()
-            inv = Scalar({-e: (den, num)})
-            return self * inv
+            return self * _make({-e: _canon(den, num)})
         # Long division of Laurent polynomials in l over the field Q(m).
         lo_s = min(self._terms)
         lo_o = min(other._terms)
         a = {e - lo_s: rf for e, rf in self._terms.items()}
         b = {e - lo_o: rf for e, rf in other._terms.items()}
         deg_b = max(b)
-        lead_b = b[deg_b]
+        inv_lead = _canon(b[deg_b][1], b[deg_b][0])
         quot: dict[int, tuple[Poly, Poly]] = {}
         while a:
             deg_a = max(a)
             if deg_a < deg_b:
                 raise ScalarDomainError("quotient does not lie in Q(m)[l, l^-1]")
-            c = _rf_mul(a[deg_a], (lead_b[1], lead_b[0]))
+            c = _q_mul(a[deg_a], inv_lead)
             quot[deg_a - deg_b] = c
             for e, rf in b.items():
                 k = e + deg_a - deg_b
-                cur = a.get(k, (P_ZERO, P_ONE))
-                s = _rf_add(cur, _rf_neg(_rf_mul(c, rf)))
+                pn, pd = _q_mul(c, rf)
+                s = _q_add(a.get(k, (P_ZERO, P_ONE)), (p_neg(pn), pd))
                 if s[0]:
                     a[k] = s
                 else:
                     a.pop(k, None)
-        return Scalar({e + lo_s - lo_o: rf for e, rf in quot.items()})
+        return _make({e + lo_s - lo_o: rf for e, rf in quot.items()})
 
     def scale(self, q) -> Scalar:
         return self * Scalar.from_fraction(q)
@@ -327,7 +358,7 @@ class Scalar:
         m0 = Fraction(m0)
         if l0 == 0:
             raise ScalarDomainError("cannot evaluate at l = 0")
-        acc = _F0
+        acc = Fraction(0)
         for e, (num, den) in self._terms.items():
             dv = p_eval(den, m0)
             if dv == 0:
@@ -341,10 +372,17 @@ class Scalar:
         Used to push m = (r^2 - 1)/r (or a rational constant) into every
         coefficient; the l-part is untouched.
         """
+        num, den = _from_q(num, den)
         terms = {}
         for e, (pn, pd) in self._terms.items():
-            terms[e] = _rf_mul(_compose(pn, num, den), _rf_inverse(_compose(pd, num, den)))
-        return Scalar(terms)
+            an, ad = _compose(pn, num, den)
+            bn, bd = _compose(pd, num, den)
+            if not bn:
+                raise ScalarDomainError("inverting zero rational function")
+            rf = _canon(p_mul(an, bd), p_mul(ad, bn))
+            if rf[0]:
+                terms[e] = rf
+        return _make(terms)
 
     # -- presentation --------------------------------------------------
 
@@ -387,23 +425,16 @@ class Scalar:
         return Scalar(terms)
 
 
-def _rf_inverse(rf):
-    num, den = rf
-    if not num:
-        raise ScalarDomainError("inverting zero rational function")
-    return ratfunc(den, num)
-
-
 def _compose(p: Poly, num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """p(num/den) as a rational function (Horner in the fraction)."""
+    """p(num/den) as a canonical pair (Horner in the fraction)."""
     if not p:
         return P_ZERO, P_ONE
-    acc_n, acc_d = p_const(p[-1]), P_ONE
+    acc_n, acc_d = p[-1:], P_ONE
     for c in reversed(p[:-1]):
         # acc <- acc * (num/den) + c
-        acc_n = p_add(p_mul(acc_n, num), p_mul(p_const(c), p_mul(acc_d, den)))
         acc_d = p_mul(acc_d, den)
-    return ratfunc(acc_n, acc_d)
+        acc_n = p_add(p_mul(acc_n, num), p_mul((c,), acc_d))
+    return _canon(acc_n, acc_d)
 
 
 _ZERO = Scalar()
@@ -433,5 +464,4 @@ def _poly_str(p: Poly, var: str = "m") -> str:
 
 def x_value() -> Scalar:
     """The derived parameter x = 1 - (l - l^-1)/m."""
-    m_inv = (P_ONE, P_VAR)
-    return Scalar({0: (P_ONE, P_ONE), 1: _rf_neg(m_inv), -1: m_inv})
+    return _make({0: (P_ONE, P_ONE), 1: ((-1,), P_VAR), -1: (P_ONE, P_VAR)})

@@ -25,6 +25,7 @@ word) measure; the orbit search is capped and raises if the cap is ever hit.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 
 from .hecke import HeckeElement
@@ -201,21 +202,27 @@ def reduce_word(rs: RootSystem, word: BmwWord) -> dict:
     """Rewrite a word into a combination of words of length <= |Phi+|."""
     comb = _expand_inverses(word)
     done: set[BmwWord] = set()
-    while True:
-        todo = [w for w in comb if w and w not in done]
-        if not todo:
-            break
-        w = max(todo, key=lambda t: (len(t), t))
+    pending = sorted((len(w), w) for w in comb if w)  # stale keys are skipped
+
+    def add(w: BmwWord, c: Scalar):
+        if w and w not in comb:  # (re)entering words are queued
+            insort(pending, (len(w), w))
+        _combine(comb, w, c)
+
+    while pending:
+        w = pending.pop()[1]
+        if w not in comb or w in done:
+            continue
         coeff = comb.pop(w)
         kind, target, hit, side = _search(rs, w)
         for extra_word, extra_coeff in side:
-            _combine(comb, extra_word, coeff * extra_coeff)
+            add(extra_word, coeff * extra_coeff)
         if kind == "redex":
             p, width, repl = hit
             for frag, c in repl.items():
-                _combine(comb, target[:p] + frag + target[p + width :], coeff * c)
+                add(target[:p] + frag + target[p + width :], coeff * c)
         else:
-            _combine(comb, target, coeff)
+            add(target, coeff)
             done.add(target)
     return comb
 

@@ -79,7 +79,7 @@ def test_criterion_2_dimension_formulas():
 
 
 def test_criterion_3_generic_relation_suites():
-    sw = _Stopwatch(3, 60.0)
+    sw = _Stopwatch(3, 30.0)
     for label in ("A2", "A3", "A4", "A5", "D4", "D5"):
         report = run_suite("all", label, "generic")
         bad = [c for c in report.checks if not c.ok]
@@ -161,7 +161,7 @@ def test_criterion_7_a2_dimension_reproduction():
 
 
 def test_criterion_8_rewrite_soundness():
-    sw = _Stopwatch(8, 300.0)
+    sw = _Stopwatch(8, 120.0)
     for label in ("A3", "D4"):
         rs = build_type(label)
         lk = build_lk(label)

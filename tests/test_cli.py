@@ -171,3 +171,12 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.splitlines() == ["error: internal: RuntimeError: simulated failure"]
     assert "Traceback" not in err
+
+
+def test_matrices_json_to_unwritable_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "a3.json"
+    code, out, err = run(capsys, "matrices", "--type", "A3", "--json", str(target))
+    assert code == 2 and out == ""
+    assert err.splitlines()[0].startswith(f"error: cannot write {target}: ")
+    assert "internal" not in err and "Traceback" not in err
+    assert not target.parent.exists()

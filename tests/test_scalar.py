@@ -137,3 +137,83 @@ def test_subst_var():
     r0 = Fraction(3, 2)
     m0 = r0 - 1 / r0
     assert a.eval_at(1, r0) == m0 * m0 + m0
+
+
+def test_stored_coefficients_are_ints():
+    rng = random.Random(606)
+    general = [
+        ONE / (M + ONE),
+        ONE / (M + ONE) + ONE / (M - ONE),
+        Scalar.from_ratfunc((1,), (2,)),
+        ONE / Scalar.from_ratfunc((Fraction(1, 2), Fraction(3)), (Fraction(2), Fraction(0), Fraction(5, 3))),
+        (L * L - ONE) / (L + ONE),
+        (M * M + M).subst_var((Fraction(-1), Fraction(0), Fraction(1)), P_VAR),
+        x_value().subst_var((Fraction(5, 6),), P_ONE),
+    ]
+    for _ in range(30):
+        a, b = rand_scalar(rng), rand_scalar(rng)
+        general += [a, a + b, a - b, a * b, -a, a.scale(Fraction(3, 4))]
+        if len(b._terms) == 1:
+            general.append(a / b)
+    for s in general:
+        assert all(type(c) is int for num, den in s._terms.values() for c in num + den), s
+
+
+def test_canonical_terms_agree_across_routes():
+    seventh = {0: ((1,), (7,))}
+    a = Scalar.from_fraction(Fraction(1, 7))
+    assert a._terms == seventh
+    assert (ONE / Scalar.from_fraction(7))._terms == seventh
+    assert Scalar.from_json_dict(a.to_json_dict())._terms == seventh
+    assert Scalar({0: ((Fraction(2, 7),), (Fraction(2),))})._terms == seventh
+    inv = {0: ((1,), (1, 1))}
+    assert (ONE / (M + ONE))._terms == inv
+    assert Scalar.from_ratfunc((Fraction(-3),), (Fraction(-3), Fraction(-3)))._terms == inv
+    assert Scalar.from_ratfunc((-1, 0, 1), (-1, 1))._terms == (M + ONE)._terms == {0: ((1, 1), P_ONE)}
+
+
+def test_non_monomial_denominator():
+    assert (ONE / (M + ONE)) * (M + ONE) == ONE
+    s = ONE / (M + ONE) + ONE / (M - ONE)
+    assert s._terms == {0: ((0, 2), (-1, 0, 1))}
+    assert s * (M * M - ONE) == M.scale(2)
+
+
+def test_json_dict_literals():
+    assert ((L - LINV) / M).to_json_dict() == {"terms": [
+        {"lexp": -1, "num": ["-1"], "den": ["0", "1"]},
+        {"lexp": 1, "num": ["1"], "den": ["0", "1"]},
+    ]}
+    assert x_value().to_json_dict() == {"terms": [
+        {"lexp": -1, "num": ["1"], "den": ["0", "1"]},
+        {"lexp": 0, "num": ["1"], "den": ["1"]},
+        {"lexp": 1, "num": ["-1"], "den": ["0", "1"]},
+    ]}
+    # presented Q-monic although stored as 1/(2m + 3)
+    assert (ONE / (M.scale(2) + ONE.scale(3))).to_json_dict() == {"terms": [
+        {"lexp": 0, "num": ["1/2"], "den": ["3/2", "1"]},
+    ]}
+
+
+def test_eval_is_ring_homomorphism_with_denominators():
+    rng = random.Random(707)
+    pts = [(Fraction(5, 7), Fraction(3, 2)), (Fraction(2), Fraction(-5, 3)), (Fraction(-1), Fraction(1))]
+    checked = 0
+    for _ in range(40):
+        a, b = rand_scalar(rng), rand_scalar(rng)
+        for l0, m0 in pts:
+            try:
+                av, bv = a.eval_at(l0, m0), b.eval_at(l0, m0)
+            except ScalarDomainError:
+                continue  # a pole of a or b
+            assert (a * b).eval_at(l0, m0) == av * bv
+            assert (a + b).eval_at(l0, m0) == av + bv
+            checked += 1
+    assert checked > 60
+
+
+def test_subst_var_to_a_root_drops_the_term():
+    at_zero = (M * M + L * M + LINV).subst_var((Fraction(0),), P_ONE)
+    assert at_zero == LINV and at_zero._terms == {-1: (P_ONE, P_ONE)}
+    with pytest.raises(ScalarDomainError):
+        x_value().subst_var((Fraction(0),), P_ONE)
