@@ -1,14 +1,7 @@
 """Exact BMW algebras of simply laced type via Lawrence-Krammer representations."""
 
 from .hecke import HeckeElement, ParabolicError, eval_signed_word, in_parabolic
-from .lkrep import (
-    LawrenceKrammer,
-    SparseMatrix,
-    ThetaSpec,
-    build_lk,
-    classical_lk,
-    theta_character_at,
-)
+from .lkrep import LawrenceKrammer, SparseMatrix, build_lk
 from .rootsys import (
     DynkinType,
     RootSystem,
@@ -31,11 +24,9 @@ __all__ = [
     "ScalarDomainError",
     "SparseMatrix",
     "SuiteReport",
-    "ThetaSpec",
     "a2_dimension_check",
     "build_lk",
     "build_type",
-    "classical_lk",
     "dims_report",
     "enumerate_parabolic",
     "eval_signed_word",
@@ -47,7 +38,6 @@ __all__ = [
     "rep_image_word",
     "run_suite",
     "seeded_points",
-    "theta_character_at",
     "weyl_order",
     "x_value",
 ]

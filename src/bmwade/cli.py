@@ -7,22 +7,25 @@ character), ``verify`` (relation suites) and ``dims`` (dimension formulas).
 
 Exit codes: 0 on success or all checks passing, 1 when a verification check
 fails, 2 on usage errors, 3 on any other error (one ``error: internal: <Type>:
-<message>`` line on stderr).  Output is deterministic: identical invocations
-produce identical bytes, and JSON output re-serializes to itself.
+<message>`` line on stderr), 141 (128 + SIGPIPE) with no message when the
+reader closes stdout before the output is written.  Output is deterministic:
+identical invocations produce identical bytes, and JSON output re-serializes
+to itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .hecke import HeckeElement
-from .lkrep import build_lk, classical_lk, theta_character_at
+from .lkrep import CharacterSpecialization, build_lk
 from .rootsys import DynkinType, build_type
-from .scalar import Scalar
+from .scalar import P_VAR, Scalar
 from .verify import SUITE_NAMES, UnsupportedModeError, a2_dimension_check, dims_report, run_suite
 from .wordalg import parse_word, reduce_word, word_to_text
 
@@ -140,20 +143,19 @@ def _cmd_matrices(args) -> int:
         if args.theta != "lk":
             raise UsageError("only the classical character --theta lk is built in")
         if args.r is None:
-            theta = classical_lk(lk.rs)
+            r = Scalar.from_ratfunc(P_VAR)
         else:
-            r0 = _parse_fraction(args.r)
-            try:
-                theta = theta_character_at(lk.rs, r0)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-        gammas = lk.gamma_theta(theta)
+            r = Scalar.from_fraction(_parse_fraction(args.r))
+        try:
+            rep = CharacterSpecialization(lk, Scalar.l(1), r)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         payload = {
             "type": lk.rs.dtype.label,
-            "size": lk.size * theta.dimension,
+            "size": rep.size,
             "gamma": {
-                str(i): g.to_json_columns(lambda s: (s or Scalar.zero()).to_json_dict())
-                for i, g in zip(lk.rs.nodes, gammas)
+                str(i): rep.sigma(i).to_json_columns(lambda s: (s or Scalar.zero()).to_json_dict())
+                for i in lk.rs.nodes
             },
         }
     text = _dumps(payload)
@@ -274,12 +276,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a negative fraction such as -2/5 for an option: bind it to --r
+    for k in range(len(argv) - 2, -1, -1):
+        if argv[k] == "--r" and argv[k + 1][:1] == "-" and argv[k + 1][1:2].isdigit():
+            argv[k:k + 2] = [f"--r={argv[k + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): drop the rest of the output and
+        # end like a writer killed by SIGPIPE, without a message at shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"hint: see `bmwade {args.command} --help`", file=sys.stderr)

@@ -2,9 +2,9 @@
 
 One recursion and one set of matrix builders (:class:`LKRepresentation`)
 run over two coefficient rings: the C-parabolic Hecke algebra
-(:class:`LawrenceKrammer`, symbolic) and its one-dimensional character at a
-rational point (:class:`CharacterSpecialization`, exact rationals).  The
-module computes, for a fixed ADE root system:
+(:class:`LawrenceKrammer`, symbolic) and its one-dimensional character
+z -> 1/r (:class:`CharacterSpecialization`, exact rationals at a point, or
+Scalars in l and r).  The module computes, for a fixed ADE root system:
 
 * the node-valued map (beta, i) -> h in C with h_{beta,i} = z_h, by the
   height-ascending recursion that pushes beta toward the highest root;
@@ -19,9 +19,10 @@ module computes, for a fixed ADE root system:
 * the representation matrices sigma_i = tau_i + l^-1 T_i on the free right
   module with basis x_beta indexed by the positive roots, together with the
   derived f_i = sigma_i^2 + m sigma_i - 1 and e_i = (l/m) f_i;
-* theta-specializations: any representation of the coefficient algebra
-  (given by generator images over rational functions in r, with m tied to
-  r - r^-1) expands each sigma_i to a square matrix of size |Phi+| dim(theta).
+* the specialization through that character, with m = r - r^-1: the same
+  recursion and builders run in the character's ring, so each sigma_i stays
+  a square matrix of size |Phi+|, at a rational point or with l and r
+  symbolic.
 
 Matrix conventions.  A matrix M acts by sigma(x_beta) = sum_gamma x_gamma *
 M[gamma][beta] with coefficients on the right, so operator composition is
@@ -32,9 +33,8 @@ or Fractions, whichever ring the caller works in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .hecke import HeckeElement, ParabolicError, eval_signed_word, in_parabolic
 from .rootsys import Root, RootSystem, Weyl, build_type
@@ -113,87 +113,6 @@ class SparseMatrix:
             [entry_json(self.entry(r, c)) for r in range(self.size)]
             for c in range(self.size)
         ]
-
-
-@dataclass(frozen=True)
-class ThetaSpec:
-    """A representation of the C-parabolic Hecke algebra by explicit matrices.
-
-    Images live over rational functions in a parameter r; ``m_value`` is the
-    rational function in r substituted for m (symbolically (r^2-1)/r, or a
-    rational constant for a numeric point).  Generator images must satisfy
-    the quadratic relation and the braid relations of the C-subdiagram.
-    """
-
-    dimension: int
-    images: dict = field(compare=False)
-    m_value: tuple
-
-    def validate(self, rs: RootSystem):
-        m = Scalar({0: self.m_value})
-        one = _dense_identity(self.dimension)
-        for j in rs.c_nodes:
-            img = self.images[j]
-            if _dense_add(_dense_mul(img, img), _dense_scale(img, m)) != one:
-                raise ValueError(f"theta image of node {j} violates the quadratic relation")
-        for i in rs.c_nodes:
-            for j in rs.c_nodes:
-                if j <= i:
-                    continue
-                a, b = self.images[i], self.images[j]
-                if j in rs.neighbors[i]:
-                    lhs = _dense_mul(_dense_mul(a, b), a)
-                    rhs = _dense_mul(_dense_mul(b, a), b)
-                else:
-                    lhs = _dense_mul(a, b)
-                    rhs = _dense_mul(b, a)
-                if lhs != rhs:
-                    raise ValueError(f"theta images of nodes {i}, {j} violate the braid relations")
-
-
-def _dense_identity(d):
-    one, zero = Scalar.one(), Scalar.zero()
-    return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
-
-
-def _dense_mul(a, b):
-    d = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(d)), Scalar.zero()) for j in range(d))
-        for i in range(d)
-    )
-
-
-def _dense_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _dense_scale(a, s):
-    return tuple(tuple(x * s for x in row) for row in a)
-
-
-def classical_lk(rs: RootSystem) -> ThetaSpec:
-    """The linear character sending every generator to r^-1.
-
-    Valid because (r^-1)^2 + m r^-1 - 1 = 0 once m = r - r^-1; the other
-    root of the same quadratic is -r.
-    """
-    r_inv = Scalar.from_ratfunc(P_ONE, P_VAR)
-    images = {j: ((r_inv,),) for j in rs.c_nodes}
-    theta = ThetaSpec(1, images, ((-1, 0, 1), P_VAR))
-    theta.validate(rs)
-    return theta
-
-
-def theta_character_at(rs: RootSystem, r0) -> ThetaSpec:
-    """The classical character with r frozen to a rational value."""
-    r0 = Fraction(r0)
-    if r0 == 0:
-        raise ValueError("r must be nonzero")
-    images = {j: ((Scalar.from_fraction(1 / r0),),) for j in rs.c_nodes}
-    theta = ThetaSpec(1, images, ((r0 - 1 / r0,), P_ONE))
-    theta.validate(rs)
-    return theta
 
 
 class LKRepresentation:
@@ -428,98 +347,73 @@ class LawrenceKrammer(LKRepresentation):
             terms[w] = Scalar.from_ratfunc((0,) + c)
         return HeckeElement(rs, self.c_set, terms)
 
-    # -- theta expansion -------------------------------------------------------
-
-    def gamma_theta(self, theta: ThetaSpec) -> list[SparseMatrix]:
-        """One square matrix of size |Phi+| dim(theta) per diagram node."""
-        theta.validate(self.rs)
-        d = theta.dimension
-        num, den = theta.m_value
-        word_img: dict[Weyl, tuple] = {self.rs.identity: _dense_identity(d)}
-
-        def img_of(w: Weyl):
-            cached = word_img.get(w)
-            if cached is None:
-                word = self.rs.reduced_word(w)
-                rest = img_of(self.rs.word_element(word[1:]))
-                cached = _dense_mul(theta.images[word[0]], rest)
-                word_img[w] = cached
-            return cached
-
-        def expand(helem: HeckeElement):
-            block = None
-            for w, c in helem.terms.items():
-                contrib = _dense_scale(img_of(w), c.subst_var(num, den))
-                block = contrib if block is None else _dense_add(block, contrib)
-            return block
-
-        out = []
-        for i in self.rs.nodes:
-            cols: dict[int, dict[int, Scalar]] = {}
-            for c, col in self.sigma(i).cols.items():
-                for r, helem in col.items():
-                    block = expand(helem)
-                    if block is None:
-                        continue
-                    for a in range(d):
-                        for b in range(d):
-                            v = block[a][b]
-                            if v:
-                                cols.setdefault(c * d + b, {})[r * d + a] = v
-            out.append(SparseMatrix(self.size * d, cols))
-        return out
-
 
 class CharacterSpecialization(LKRepresentation):
-    """The representation at rational l = l0, r = r0 through the character z -> 1/r0.
+    """The representation through the character z -> 1/r of the C-parabolic.
 
-    The character of the C-parabolic extends to the full-type Hecke algebra
-    (any scalar root of c^2 + m c - 1 = 0 defines a one-dimensional
-    character), so the T recursion, including the closed-form step, runs in
-    exact rational arithmetic: every evaluated word contributes c0 per
-    positive letter and c0 + m0 = 1/c0 per inverse letter.  This is the
-    workhorse for the E-type suites, where generic coefficients are far too
-    large to be rebuilt per point.
+    ``l`` and ``r`` are rationals (a point l = l0, r = r0, in exact Fraction
+    arithmetic; the E-type suites of ``verify``) or Scalars (``Scalar.l(1)``,
+    with r the coefficient variable read as r, or a rational constant; the
+    matrices of ``bmwade matrices --theta lk``).  The ring's one and zero
+    follow the type of r, and m = r - 1/r.  The character extends to the
+    full-type Hecke algebra (any root c of c^2 + m c - 1 = 0 defines a
+    one-dimensional character), so the T recursion, closed-form step
+    included, runs in that ring: every evaluated word contributes 1/r per
+    positive letter and 1/r + m = r per inverse letter.  Nothing builds the
+    generic coefficients, which are far too large on the E types.  x and l/m
+    divide by m and are computed on first use, so sigma and tau also exist
+    at r = 1 and r = -1, where m = 0.
     """
 
-    def __init__(self, lk: LawrenceKrammer, l0, r0):
-        l0, r0 = Fraction(l0), Fraction(r0)
-        if l0 == 0 or r0 in (0, 1, -1):
-            raise ValueError("need l0 != 0 and r0 not in {0, 1, -1}")
+    def __init__(self, lk: LawrenceKrammer, l, r):
+        if isinstance(r, Scalar):
+            one = Scalar.one()
+        else:
+            l, r, one = Fraction(l), Fraction(r), Fraction(1)
+        if not l:
+            raise ValueError("l must be nonzero")
+        if not r:
+            raise ValueError("r must be nonzero")
         super().__init__(lk.rs)
         self._h_memo = lk._h_memo  # h is ring-free: share the generic memo
-        self.l0, self.r0 = l0, r0
-        self.c0 = 1 / r0
-        self.m = r0 - 1 / r0
-        self.l = l0
-        self.linv = 1 / l0
-        self.x = 1 - (l0 - 1 / l0) / self.m
-        self.l_over_m = l0 / self.m
+        self._one, self._zero = one, one - one
+        self.l, self.r = l, r
+        self.c0 = one / r
+        self.m = r - self.c0
+        self.linv = one / l
 
-    def z(self, j: int) -> Fraction:
+    @cached_property
+    def x(self):
+        return self._one - (self.l - self.linv) / self.m
+
+    @cached_property
+    def l_over_m(self):
+        return self.l / self.m
+
+    def z(self, j: int):
         return self.c0
 
-    def unit(self) -> Fraction:
-        return Fraction(1)
+    def unit(self):
+        return self._one
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self):
+        return self._zero
 
-    def t_char(self, i: int, beta: Root) -> Fraction:
+    def t_char(self, i: int, beta: Root):
         """T_{i,beta} under the character; the memoized lookup of this ring."""
         return super().t_coeff(i, beta)
 
-    def t_coeff(self, i: int, beta: Root) -> Fraction:
+    def t_coeff(self, i: int, beta: Root):
         # every lookup, the recursion's own included, enters through t_char
         return self.t_char(i, beta)
 
-    def t_closed_form(self, i: int, beta: Root) -> Fraction:
+    def t_closed_form(self, i: int, beta: Root):
         """The closed-form word evaluated letter by letter under the character."""
         rs = self.rs
         s_len = len(rs.s_beta_word(beta))
         pos = 1 + s_len + len(rs.d_beta_word(beta))
         inv = s_len + len(rs.d_beta_word(rs.alpha(i)))
-        return self.m * self.c0 ** pos * (self.c0 + self.m) ** inv
+        return self.m * self.c0 ** pos * self.r ** inv
 
 
 def _ip_add(store: dict, key, c) -> None:

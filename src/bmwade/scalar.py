@@ -21,12 +21,12 @@ The form is unique, so two Scalars are equal as ring elements iff their
 representations are equal, and ``==`` is both cheap and exact.  In practice
 every denominator is a monomial c m^k (the working ring is Z[l^+-1, m^+-1]),
 and normalizing costs an m-power strip and one integer gcd; the polynomial
-gcd (a primitive remainder sequence over Z) runs only when division or
-``subst_var`` creates another denominator.  Rational inputs (Fraction or int
-tuples) are cleared of denominators once, on entry; ``items``, ``repr`` and
-``to_json_dict`` present each coefficient Q-monic (num and den divided by the
-leading coefficient of den, as Fractions).  Values are immutable and all
-operations are pure, which makes them safe to share between threads.
+gcd (a primitive remainder sequence over Z) runs only when division creates
+another denominator.  Rational inputs (Fraction or int tuples) are cleared of
+denominators once, on entry; ``items``, ``repr`` and ``to_json_dict`` present
+each coefficient Q-monic (num and den divided by the leading coefficient of
+den, as Fractions).  Values are immutable and all operations are pure, which
+makes them safe to share between threads.
 
 Polynomials in m are plain tuples, ascending degree, with no trailing zeros;
 the empty tuple is zero.  The same machinery is reused by the representation
@@ -347,10 +347,23 @@ class Scalar:
                     a.pop(k, None)
         return _make({e + lo_s - lo_o: rf for e, rf in quot.items()})
 
+    def __pow__(self, k: int) -> Scalar:
+        """self ** k for an int k >= 0, by repeated squaring."""
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"Scalar power needs an int exponent >= 0, got {k!r}")
+        out, base = _ONE, self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
     def scale(self, q) -> Scalar:
         return self * Scalar.from_fraction(q)
 
-    # -- evaluation and substitution ----------------------------------
+    # -- evaluation ----------------------------------------------------
 
     def eval_at(self, l0, m0) -> Fraction:
         """Exact value at l = l0, m = m0 (both rational, l0 nonzero)."""
@@ -365,24 +378,6 @@ class Scalar:
                 raise ScalarDomainError(f"denominator vanishes at m = {m0}")
             acc += (p_eval(num, m0) / dv) * l0 ** e
         return acc
-
-    def subst_var(self, num: Poly, den: Poly) -> Scalar:
-        """Substitute the coefficient variable by the rational function num/den.
-
-        Used to push m = (r^2 - 1)/r (or a rational constant) into every
-        coefficient; the l-part is untouched.
-        """
-        num, den = _from_q(num, den)
-        terms = {}
-        for e, (pn, pd) in self._terms.items():
-            an, ad = _compose(pn, num, den)
-            bn, bd = _compose(pd, num, den)
-            if not bn:
-                raise ScalarDomainError("inverting zero rational function")
-            rf = _canon(p_mul(an, bd), p_mul(ad, bn))
-            if rf[0]:
-                terms[e] = rf
-        return _make(terms)
 
     # -- presentation --------------------------------------------------
 
@@ -423,18 +418,6 @@ class Scalar:
             den = tuple(Fraction(c) for c in t["den"])
             terms[int(t["lexp"])] = (num, den)
         return Scalar(terms)
-
-
-def _compose(p: Poly, num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """p(num/den) as a canonical pair (Horner in the fraction)."""
-    if not p:
-        return P_ZERO, P_ONE
-    acc_n, acc_d = p[-1:], P_ONE
-    for c in reversed(p[:-1]):
-        # acc <- acc * (num/den) + c
-        acc_d = p_mul(acc_d, den)
-        acc_n = p_add(p_mul(acc_n, num), p_mul((c,), acc_d))
-    return _canon(acc_n, acc_d)
 
 
 _ZERO = Scalar()

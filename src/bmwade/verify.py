@@ -410,10 +410,9 @@ def run_suite(suite: str, type_label: str, mode: str = "generic",
     elif mode == "specialized":
         l0 = DEFAULT_L0 if l0 is None else Fraction(l0)
         r0 = DEFAULT_R0 if r0 is None else Fraction(r0)
-        try:
-            rep = CharacterSpecialization(build_lk(type_label), l0, r0)
-        except ValueError as exc:
-            raise UnsupportedModeError(str(exc)) from exc
+        if l0 == 0 or r0 in (0, 1, -1):  # m = 0 leaves e_i = (l/m) f_i undefined
+            raise UnsupportedModeError("need l0 != 0 and r0 not in {0, 1, -1}")
+        rep = CharacterSpecialization(build_lk(type_label), l0, r0)
         mode_label = f"specialized l={l0} r={r0}"
     else:
         raise UnsupportedModeError(f"unknown mode {mode!r}")

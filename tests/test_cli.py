@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bmwade
 from bmwade.cli import main
 
 
@@ -180,3 +185,45 @@ def test_matrices_json_to_unwritable_path_is_usage_error(tmp_path, capsys):
     assert err.splitlines()[0].startswith(f"error: cannot write {target}: ")
     assert "internal" not in err and "Traceback" not in err
     assert not target.parent.exists()
+
+
+def test_matrices_theta_lk_reads_a_negative_r_as_a_value(capsys):
+    code, spaced, err = run(capsys, "matrices", "--type", "A3", "--theta", "lk", "--r", "-2/5")
+    assert code == 0 and err == ""
+    code, joined, _ = run(capsys, "matrices", "--type", "A3", "--theta", "lk", "--r=-2/5")
+    assert code == 0 and spaced == joined
+
+
+@pytest.mark.parametrize("label, r, size", [("E8", "3/2", 120), ("A3", "1", 6), ("A3", "-1", 6)])
+def test_matrices_theta_lk_sizes(capsys, label, r, size):
+    code, out, _ = run(capsys, "matrices", "--type", label, "--theta", "lk", "--r", r)
+    assert code == 0
+    data = json.loads(out)
+    assert data["size"] == size and len(data["gamma"]["1"]) == size
+
+
+def test_verify_specialize_at_r_minus_one_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--type", "A2", "--suite", "braid",
+                         "--specialize", "l=5/7,r=-1")
+    assert code == 2 and out == ""
+    assert err == ("error: need l0 != 0 and r0 not in {0, 1, -1}\n"
+                   "hint: see `bmwade verify --help`\n")
+
+
+def test_closed_stdout_exits_141_without_a_message():
+    src = str(Path(bmwade.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # about 1.4 MB of JSON: far more than a pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bmwade.cli", "matrices", "--type", "E7", "--theta", "lk"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 141
+    assert err == b""

@@ -2,16 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from bmwade.lkrep import (
-    CharacterSpecialization,
-    SparseMatrix,
-    ThetaSpec,
-    build_lk,
-    classical_lk,
-    theta_character_at,
-)
-from bmwade.rootsys import build_type
-from bmwade.scalar import P_ONE, Scalar, x_value
+from bmwade.lkrep import CharacterSpecialization, SparseMatrix, build_lk
+from bmwade.scalar import P_VAR, Scalar, x_value
 
 M = Scalar.m()
 L = Scalar.l(1)
@@ -113,46 +105,25 @@ def test_f_matrix_values_on_d4():
         assert f == e.scale(M * LINV)
 
 
-def test_theta_classical_and_other_root():
-    rs = build_type("A3")
-    theta = classical_lk(rs)
-    assert theta.dimension == 1
-    # the other scalar root -r also satisfies the quadratic
-    neg_r = Scalar.from_ratfunc((Fraction(0), Fraction(-1)), P_ONE)
-    other = ThetaSpec(1, {j: ((neg_r,),) for j in rs.c_nodes}, theta.m_value)
-    other.validate(rs)
-    bad = ThetaSpec(1, {j: ((Scalar.one(),),) for j in rs.c_nodes}, theta.m_value)
-    with pytest.raises(ValueError):
-        bad.validate(rs)
+def _character(lk, r=None):
+    """The character ring with l symbolic and r symbolic, or r = r0."""
+    return CharacterSpecialization(
+        lk, L, Scalar.from_ratfunc(P_VAR) if r is None else Scalar.from_fraction(r))
 
 
 def test_gamma_theta_dimensions():
-    lk3 = build_lk("A3")
-    gammas = lk3.gamma_theta(classical_lk(lk3.rs))
-    assert len(gammas) == 3 and all(g.size == 6 for g in gammas)
-    lk2 = build_lk("A2")
-    gammas2 = lk2.gamma_theta(classical_lk(lk2.rs))
-    assert len(gammas2) == 2 and all(g.size == 3 for g in gammas2)
-
-
-def test_gamma_two_dimensional_theta():
-    # the regular representation of the Hecke algebra of A1 = C(A3)
-    rs = build_type("A3")
-    zero, one, m = Scalar.zero(), Scalar.one(), M
-    img = ((zero, one), (one, -m))  # matrix of right multiplication by z_2
-    theta = ThetaSpec(2, {2: img}, ((Fraction(0), Fraction(1)), P_ONE))
-    theta.validate(rs)
-    lk = build_lk("A3")
-    gammas = lk.gamma_theta(theta)
-    assert all(g.size == 12 for g in gammas)
+    for label, size in (("A3", 6), ("A2", 3)):
+        rep = _character(build_lk(label))
+        gammas = [rep.sigma(i) for i in rep.rs.nodes]
+        assert len(gammas) == len(rep.rs.nodes) and all(g.size == size for g in gammas)
 
 
 def test_gamma_specialize_commutes_on_d4():
     lk = build_lk("D4")
     r0, l0 = Fraction(3, 2), Fraction(7, 5)
-    sym = lk.gamma_theta(classical_lk(lk.rs))
-    num = lk.gamma_theta(theta_character_at(lk.rs, r0))
-    for ms, mn in zip(sym, num):
+    sym, num = _character(lk), _character(lk, r0)
+    for i in lk.rs.nodes:
+        ms, mn = sym.sigma(i), num.sigma(i)
         for c in range(ms.size):
             for r in range(ms.size):
                 es, en = ms.entry(r, c), mn.entry(r, c)
@@ -181,10 +152,14 @@ def test_character_route_equals_specialized_generic(label):
     lk = build_lk(label)
     l0, r0 = Fraction(5, 7), Fraction(3, 2)
     spec = CharacterSpecialization(lk, l0, r0)
+    sym = _character(lk)
     for i in lk.rs.nodes:
         for name in ("sigma", "e_matrix", "tau", "sigma_inv"):
             generic = getattr(lk, name)(i)
             assert getattr(spec, name)(i) == _specialize(lk, generic, l0, r0), (name, i)
+            for point in ((l0, r0), (Fraction(7, 5), Fraction(-2, 5))):
+                at_point = getattr(sym, name)(i).map_entries(lambda s: s.eval_at(*point))
+                assert at_point == _specialize(lk, generic, *point), (name, i, point)
 
 
 def test_character_rejects_degenerate_points():
@@ -192,7 +167,15 @@ def test_character_rejects_degenerate_points():
     with pytest.raises(ValueError):
         CharacterSpecialization(lk, 0, Fraction(3, 2))
     with pytest.raises(ValueError):
-        CharacterSpecialization(lk, Fraction(5, 7), 1)
+        CharacterSpecialization(lk, Fraction(5, 7), 0)
+    with pytest.raises(ValueError):
+        _character(lk, 0)
+    # r = 1 gives m = 0: sigma exists, only x and l/m do not (run_suite
+    # rejects the point, see test_verify)
+    at_one = CharacterSpecialization(lk, Fraction(5, 7), 1)
+    assert at_one.sigma(1) == _specialize(lk, lk.sigma(1), Fraction(5, 7), Fraction(1))
+    with pytest.raises(ZeroDivisionError):
+        at_one.x
 
 
 def test_table_rows_spot_sampled_on_e6():

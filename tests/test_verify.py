@@ -46,8 +46,9 @@ def test_specialized_matches_generic_on_samples():
 
 
 def test_specialized_rejects_degenerate_point():
-    with pytest.raises(UnsupportedModeError):
-        run_suite("braid", "A2", "specialized", Fraction(5, 7), 1)
+    for l0, r0 in ((Fraction(5, 7), 1), (Fraction(5, 7), -1), (Fraction(5, 7), 0), (0, Fraction(3, 2))):
+        with pytest.raises(UnsupportedModeError, match=r"need l0 != 0 and r0 not in \{0, 1, -1\}"):
+            run_suite("braid", "A2", "specialized", l0, r0)
 
 
 def test_seeded_points_are_deterministic_and_valid():
