@@ -140,8 +140,6 @@ def _cmd_matrices(args) -> int:
             },
         }
     else:
-        if args.theta != "lk":
-            raise UsageError("only the classical character --theta lk is built in")
         if args.r is None:
             r = Scalar.from_ratfunc(P_VAR)
         else:

@@ -103,9 +103,6 @@ class HeckeElement:
             return not self.terms
         return NotImplemented
 
-    def __hash__(self):  # pragma: no cover - elements are not used as keys
-        return hash(tuple(sorted(self.terms.keys())))
-
     def _check_parent(self, other: HeckeElement):
         if self.parent != other.parent or self.rs is not other.rs:
             raise ParabolicError("parent parabolic mismatch")
@@ -213,14 +210,6 @@ class HeckeElement:
                 for w, c in self.sorted_terms()
             ]
         }
-
-    @staticmethod
-    def from_json_dict(rs: RootSystem, parent: frozenset, data: dict) -> HeckeElement:
-        terms = {}
-        for t in data["terms"]:
-            w = rs.word_element(t["word"])
-            terms[w] = Scalar.from_json_dict(t["coeff"])
-        return HeckeElement(rs, parent, terms)
 
 
 def eval_signed_word(rs: RootSystem, parent: frozenset, word) -> HeckeElement:

@@ -362,7 +362,9 @@ class CharacterSpecialization(LKRepresentation):
     positive letter and 1/r + m = r per inverse letter.  Nothing builds the
     generic coefficients, which are far too large on the E types.  x and l/m
     divide by m and are computed on first use, so sigma and tau also exist
-    at r = 1 and r = -1, where m = 0.
+    at r = 1 and r = -1, where m = 0, and with r symbolic, where m is not a
+    unit of the Laurent ring and x, l/m, e_i and sigma_i^-1 raise
+    ScalarDomainError.
     """
 
     def __init__(self, lk: LawrenceKrammer, l, r):

@@ -163,10 +163,6 @@ class RootSystem:
     def support(beta: Root) -> tuple[int, ...]:
         return tuple(i + 1 for i, c in enumerate(beta) if c)
 
-    @staticmethod
-    def coeff(i: int, beta: Root) -> int:
-        return beta[i - 1]
-
     def tree_path(self, i: int, targets: frozenset | set | tuple) -> list[int]:
         """Shortest path in the diagram from node i to the target node set."""
         targets = set(targets)
@@ -190,24 +186,6 @@ class RootSystem:
     def proj(self, i: int, beta: Root) -> int:
         self.require_root(beta)
         return self.tree_path(i, self.support(beta))[-1]
-
-    def geod(self, i: int, beta: Root) -> tuple[int, ...]:
-        self.require_root(beta)
-        return tuple(self.tree_path(i, self.support(beta))[1:-1])
-
-    def jset(self, k: int, beta: Root) -> tuple[int, ...]:
-        """Nodes j with (alpha_j, beta) = 1 and r_j w_{beta-alpha_j,h} = w_{beta,h}."""
-        self.require_root(beta)
-        h = self.proj(k, beta)
-        target = self.word_element(self.min_coset_word(beta, h))
-        out = []
-        for j in self.nodes:
-            if self.pairing_simple(j, beta) != 1 or beta == self.alpha(j):
-                continue
-            rest = self.word_element(self.min_coset_word(self.sub_simple(beta, j), h))
-            if self.compose(self.simple_reflection(j), rest) == target:
-                out.append(j)
-        return tuple(out)
 
     # -- Weyl group elements ----------------------------------------------
 
@@ -380,22 +358,19 @@ def component_type(rs: RootSystem, nodes: frozenset) -> tuple[str, int]:
 
 
 def enumerate_parabolic(rs: RootSystem, nodes) -> list[Weyl]:
-    """All elements of the standard parabolic on ``nodes``, by closure.
+    """All elements of the standard parabolic on ``nodes``, by (length, w).
 
+    Walks breadth-first from the identity: w r_i has length l(w) +- 1, so
+    the products of one layer minus the layer before form the next length.
     Intended for types whose parabolic is small enough to hold in memory;
     nothing in the algebra layer calls this.
     """
-    gens = [rs.simple_reflection(i) for i in sorted(nodes)]
-    found = {rs.identity}
-    frontier = [rs.identity]
-    while frontier:
-        w = frontier.pop()
-        for g in gens:
-            nxt = rs.compose(w, g)
-            if nxt not in found:
-                found.add(nxt)
-                frontier.append(nxt)
-    return sorted(found, key=lambda w: (rs.weyl_length(w), w))
+    gens = sorted(nodes)
+    out, prev, layer = [], set(), {rs.identity}
+    while layer:
+        out += sorted(layer)
+        prev, layer = layer, {rs.right_mul_simple(w, i) for w in layer for i in gens} - prev
+    return out
 
 
 def weyl_order(family: str, rank: int) -> int:

@@ -1,37 +1,37 @@
-"""Exact arithmetic in the coefficient ring Q(m)[l, l^-1].
+"""Exact arithmetic in the Laurent ring Q[l^+-1, m^+-1].
 
-A Scalar is a Laurent polynomial in the invertible indeterminate l whose
-coefficients are univariate rational functions in m with exact rational
-coefficients.  This ring carries every coefficient that appears in the
-algebra: the defining parameters l and m live here directly, and the third
-parameter x is never stored; it is derived on demand from
+A Scalar is a Laurent polynomial in the invertible indeterminates l and m
+with exact rational coefficients.  This ring carries every coefficient of
+the algebra: the generic sigma_i entries lie in Z[l^+-1, m], and x and the
+l/m of e_i = (l/m) f_i add only 1/m.  The parameters l and m live here
+directly; x is never stored but derived on demand from
 
     m = (l - l^-1) / (1 - x),
 
 i.e. x = 1 - (l - l^-1)/m, see :func:`x_value`.
 
-Storage is fraction-free: each coefficient is a pair (num, den) of
-polynomials in m with ``int`` coefficients, in canonical form:
+Storage is fraction-free: each coefficient of a power of l is a pair (num,
+den) of polynomials in m with ``int`` coefficients, in canonical form:
 
 * no term has a zero coefficient, and l-exponent keys are unique;
-* num and den are coprime over Q[m], their joint integer content is 1, and
-  den has a positive leading coefficient.
+* den is a monomial c m^k with c > 0, num and den share no factor m, and
+  their joint integer content is 1.
 
 The form is unique, so two Scalars are equal as ring elements iff their
-representations are equal, and ``==`` is both cheap and exact.  In practice
-every denominator is a monomial c m^k (the working ring is Z[l^+-1, m^+-1]),
-and normalizing costs an m-power strip and one integer gcd; the polynomial
-gcd (a primitive remainder sequence over Z) runs only when division creates
-another denominator.  Rational inputs (Fraction or int tuples) are cleared of
-denominators once, on entry; ``items``, ``repr`` and ``to_json_dict`` present
-each coefficient Q-monic (num and den divided by the leading coefficient of
-den, as Fractions).  Values are immutable and all operations are pure, which
-makes them safe to share between threads.
+representations are equal, and ``==`` is both cheap and exact; normalizing
+costs an m-power strip and one integer gcd.  The units are the single terms
+c l^e m^k: dividing by anything else raises :class:`ScalarDomainError`, and
+so does any coefficient whose denominator is not a monomial.  Rational
+inputs (Fraction or int tuples) are cleared of denominators once, on entry;
+``items``, ``repr`` and ``to_json_dict`` present each coefficient Q-monic
+(num and den divided by the leading coefficient of den, as Fractions).
+Values are immutable and all operations are pure, which makes them safe to
+share between threads.
 
 Polynomials in m are plain tuples, ascending degree, with no trailing zeros;
-the empty tuple is zero.  The same machinery is reused by the representation
-layer with the variable read as r instead of m (the two are tied by
-m = r - r^-1); nothing here depends on the variable's name.
+the empty tuple is zero.  The representation layer reuses the same machinery
+with the variable read as r (tied to m by m = r - r^-1, which is not a unit
+there); nothing here depends on the variable's name.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ P_VAR: Poly = (0, 1)  # the coefficient variable itself (m, or r)
 
 
 class ScalarDomainError(ArithmeticError):
-    """Division by zero, a non-exact quotient, or evaluation at a pole."""
+    """Division by a non-unit, a non-monomial denominator, or evaluation at a pole."""
 
 
 def _ptrim(cs: list) -> Poly:
@@ -81,52 +81,6 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     return _ptrim(out)
 
 
-def _primitive(a: Poly) -> Poly:
-    """a divided by its integer content, with a positive leading coefficient."""
-    g = gcd(*a)
-    if a[-1] < 0:
-        g = -g
-    return a if g == 1 else tuple(c // g for c in a)
-
-
-def _prem(a: Poly, b: Poly) -> Poly:
-    """Pseudo-remainder of a by a nonzero b: stays in Z[m]."""
-    rem = list(a)
-    nb, lb = len(b), b[-1]
-    while len(rem) >= nb:
-        c, k = rem[-1], len(rem) - nb
-        rem = [v * lb for v in rem]
-        for j, cb in enumerate(b):
-            rem[k + j] -= c * cb
-        while rem and not rem[-1]:
-            rem.pop()
-    return tuple(rem)
-
-
-def p_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd of two nonzero integer polynomials (positive lead)."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _prem(a, b)
-        if b:
-            b = _primitive(b)
-    return a
-
-
-def _pdiv_exact(a: Poly, b: Poly) -> Poly:
-    """a / b where the primitive b divides a; Gauss's lemma keeps it in Z[m]."""
-    rem = list(a)
-    nb, lb = len(b), b[-1]
-    quot = [0] * (len(a) - nb + 1)
-    for k in range(len(a) - nb, -1, -1):
-        c = rem[k + nb - 1] // lb
-        if c:
-            quot[k] = c
-            for j, cb in enumerate(b):
-                rem[k + j] -= c * cb
-    return _ptrim(quot)
-
-
 def p_eval(a: Poly, v: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(a):
@@ -135,17 +89,13 @@ def p_eval(a: Poly, v: Fraction) -> Fraction:
 
 
 def _canon(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Canonical form of num/den, both trimmed int tuples, den nonzero."""
+    """Canonical form of num/den: trimmed int tuples, den a nonzero c*m^k."""
     if not num:
         return P_ZERO, P_ONE
     k = 0
     while not num[k] and not den[k]:
         k += 1
     num, den = num[k:], den[k:]
-    if den.count(0) != len(den) - 1:  # den is not c*m^k: cancel the gcd
-        g = p_gcd(num, den)
-        if len(g) > 1:
-            num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
     lead = den[-1]
     if lead != 1:
         g = gcd(*num, *den)
@@ -157,11 +107,18 @@ def _canon(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, den
 
 
+def _is_monomial(p: Poly) -> bool:
+    """Whether the nonzero polynomial p is c*m^k."""
+    return p.count(0) == len(p) - 1
+
+
 def _from_q(num, den) -> tuple[Poly, Poly]:
     """Canonical int pair of num/den given with rational (or int) coefficients."""
     num, den = _ptrim(list(num)), _ptrim(list(den))
     if not den:
         raise ScalarDomainError("rational function with zero denominator")
+    if not _is_monomial(den):
+        raise ScalarDomainError(f"denominator {_poly_str(den)} is not a monomial c*m^k")
     if not num:
         return P_ZERO, P_ONE
     mult = lcm(*(c.denominator for c in num + den))
@@ -194,7 +151,7 @@ def _make(terms: dict) -> Scalar:
 
 
 class Scalar:
-    """Immutable element of Q(m)[l, l^-1] in canonical form."""
+    """Immutable element of Q[l^+-1, m^+-1] in canonical form."""
 
     __slots__ = ("_terms",)
 
@@ -315,37 +272,13 @@ class Scalar:
         return _make(terms)
 
     def __truediv__(self, other: Scalar) -> Scalar:
-        """Exact division; raises unless the quotient lies in the ring."""
+        """Division by a unit c*l^e*m^k; any other divisor raises."""
         if not other._terms:
             raise ScalarDomainError("division by zero Scalar")
-        if not self._terms:
-            return _ZERO
-        if len(other._terms) == 1:
-            (e, (num, den)), = other._terms.items()
-            return self * _make({-e: _canon(den, num)})
-        # Long division of Laurent polynomials in l over the field Q(m).
-        lo_s = min(self._terms)
-        lo_o = min(other._terms)
-        a = {e - lo_s: rf for e, rf in self._terms.items()}
-        b = {e - lo_o: rf for e, rf in other._terms.items()}
-        deg_b = max(b)
-        inv_lead = _canon(b[deg_b][1], b[deg_b][0])
-        quot: dict[int, tuple[Poly, Poly]] = {}
-        while a:
-            deg_a = max(a)
-            if deg_a < deg_b:
-                raise ScalarDomainError("quotient does not lie in Q(m)[l, l^-1]")
-            c = _q_mul(a[deg_a], inv_lead)
-            quot[deg_a - deg_b] = c
-            for e, rf in b.items():
-                k = e + deg_a - deg_b
-                pn, pd = _q_mul(c, rf)
-                s = _q_add(a.get(k, (P_ZERO, P_ONE)), (p_neg(pn), pd))
-                if s[0]:
-                    a[k] = s
-                else:
-                    a.pop(k, None)
-        return _make({e + lo_s - lo_o: rf for e, rf in quot.items()})
+        if len(other._terms) > 1 or not _is_monomial(next(iter(other._terms.values()))[0]):
+            raise ScalarDomainError(f"{other!r} is not a unit of Q[l^+-1, m^+-1]")
+        (e, (num, den)), = other._terms.items()
+        return self * _make({-e: _canon(den, num)})
 
     def __pow__(self, k: int) -> Scalar:
         """self ** k for an int k >= 0, by repeated squaring."""
@@ -409,15 +342,6 @@ class Scalar:
                 for e, (num, den) in self.items()
             ]
         }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> Scalar:
-        terms = {}
-        for t in data["terms"]:
-            num = tuple(Fraction(c) for c in t["num"])
-            den = tuple(Fraction(c) for c in t["den"])
-            terms[int(t["lexp"])] = (num, den)
-        return Scalar(terms)
 
 
 _ZERO = Scalar()

@@ -2,7 +2,7 @@
 
 Every defining and derived relation of the algebra is checked against the
 representation matrices, either exactly over the symbolic coefficient ring
-(generic mode, feasible through A5 and D5) or exactly over the rationals at
+(generic mode, A1-A5, D4, D5 and E6) or exactly over the rationals at
 a specialization point l = l0, r = r0 with the one-dimensional character
 z -> 1/r0 (specialized mode, all types including E8).  A failing check
 always carries a concrete witness: the indices involved and the first
@@ -33,7 +33,7 @@ from .rootsys import build_type, enumerate_parabolic, parabolic_order, weyl_orde
 from .scalar import Scalar
 from .wordalg import reduce_word, rep_image_word
 
-GENERIC_TYPES = ("A1", "A2", "A3", "A4", "A5", "D4", "D5")
+GENERIC_TYPES = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6")
 SUITE_NAMES = ("braid", "essential", "eiproj", "table1", "zaction", "tau_monoid")
 DEFAULT_L0 = Fraction(5, 7)
 DEFAULT_R0 = Fraction(3, 2)

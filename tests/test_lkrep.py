@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from bmwade.lkrep import CharacterSpecialization, SparseMatrix, build_lk
-from bmwade.scalar import P_VAR, Scalar, x_value
+from bmwade.scalar import P_VAR, Scalar, ScalarDomainError, x_value
 
 M = Scalar.m()
 L = Scalar.l(1)
@@ -157,9 +157,16 @@ def test_character_route_equals_specialized_generic(label):
         for name in ("sigma", "e_matrix", "tau", "sigma_inv"):
             generic = getattr(lk, name)(i)
             assert getattr(spec, name)(i) == _specialize(lk, generic, l0, r0), (name, i)
+            if name not in ("sigma", "tau"):
+                continue
             for point in ((l0, r0), (Fraction(7, 5), Fraction(-2, 5))):
                 at_point = getattr(sym, name)(i).map_entries(lambda s: s.eval_at(*point))
                 assert at_point == _specialize(lk, generic, *point), (name, i, point)
+    # with r symbolic, m = r - 1/r is not a unit of the Laurent ring in l and r
+    with pytest.raises(ScalarDomainError):
+        sym.x
+    with pytest.raises(ScalarDomainError):
+        sym.e_matrix(1)
 
 
 def test_character_rejects_degenerate_points():

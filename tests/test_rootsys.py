@@ -92,20 +92,9 @@ def test_root_queries():
     a12 = (1, 1, 0, 0)
     assert rs.height(a12) == 2
     assert rs.support(a12) == (1, 2)
-    assert rs.coeff(2, a12) == 1
     assert rs.proj(4, a12) == 2
-    assert rs.geod(4, a12) == ()
     with pytest.raises(ValueError):
         rs.proj(4, (5, 5, 5, 5))
-
-
-@pytest.mark.parametrize("label", ["A3", "D4"])
-def test_jset_empty_iff_simple(label):
-    rs = build_type(label)
-    for beta in rs.positive_roots:
-        for k in rs.nodes:
-            jset = rs.jset(k, beta)
-            assert (len(jset) == 0) == (rs.height(beta) == 1)
 
 
 def test_weyl_basics():

@@ -31,11 +31,20 @@ def test_essential_d4_contains_nonadjacent_annihilation():
 
 def test_generic_mode_rejected_for_large_types():
     with pytest.raises(UnsupportedModeError):
-        run_suite("braid", "E6", "generic")
+        run_suite("braid", "E7", "generic")
     with pytest.raises(UnsupportedModeError):
         run_suite("nonsense", "A2", "generic")
     with pytest.raises(UnsupportedModeError):
         run_suite("braid", "A2", "florp")
+
+
+@pytest.mark.parametrize("suite", ["braid", "table1"])
+def test_generic_e6_suite_passes(suite):
+    # the only tier-1 check of the non-commuting Hecke factor order on an E type:
+    # the character route of the E suites cannot see it
+    report = run_suite(suite, "E6", "generic")
+    assert report.mode == "generic"
+    assert report.checks and report.passed, [c for c in report.checks if not c.ok]
 
 
 def test_specialized_matches_generic_on_samples():
