@@ -8,11 +8,13 @@ algebra of the Lawrence-Krammer module, whose generators are written z_j).
 
 The basis is normalized so that T_s = z_s satisfies z^2 = 1 - m z, hence
 z^-1 = z + m, and products follow T_w T_s = T_{ws} when l(ws) > l(w) and
-T_{ws} - m T_w otherwise.  Length comparisons reduce to a sign test on the
-stored image of alpha_s, so no word minimization is ever needed during
-multiplication.  The parabolic W_C is never enumerated: only elements that
-actually arise are materialized, which keeps E7-sized coefficient algebras
-usable.
+T_{ws} - m T_w otherwise.  The left product by z_s^-1 = z_s + m gives
+T_{sw} when l(sw) < l(w) and T_{sw} + m T_w otherwise.  Length comparisons
+reduce to sign tests (on the stored image of alpha_s on the right, on
+(alpha_s, w(2 rho)) on the left), so no word minimization is ever needed
+during multiplication.  The parabolic W_C is never enumerated: only
+elements that actually arise are materialized, which keeps E7-sized
+coefficient algebras usable.
 
 Elements are immutable; all operations return fresh values.
 """
@@ -23,6 +25,11 @@ from .rootsys import RootSystem, Weyl, _is_negative
 from .scalar import Scalar
 
 _M = Scalar.m()
+
+
+def _acc(terms: dict, w: Weyl, c: Scalar) -> None:
+    s = terms.get(w)
+    terms[w] = c if s is None else s + c
 
 
 class ParabolicError(ValueError):
@@ -87,9 +94,6 @@ class HeckeElement:
 
     # -- structure --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -134,29 +138,33 @@ class HeckeElement:
         """Right multiplication by z_j, or by z_j^-1 = z_j + m."""
         rs = self.rs
         terms: dict[Weyl, Scalar] = {}
-
-        def _acc(w, c):
-            s = terms.get(w)
-            terms[w] = c if s is None else s + c
-
         for w, c in self.terms.items():
-            ws = rs.right_mul_simple(w, j)
-            _acc(ws, c)
+            _acc(terms, rs.right_mul_simple(w, j), c)
             descent = _is_negative(w[j - 1])
             if descent and not inverse:
-                _acc(w, -(_M * c))
+                _acc(terms, w, -(_M * c))
             elif inverse and not descent:
-                _acc(w, _M * c)
+                _acc(terms, w, _M * c)
         return HeckeElement(rs, self.parent, terms)
 
-    def mul_word(self, word, sign: int = 1) -> HeckeElement:
+    def left_mul_inverse(self, j: int) -> HeckeElement:
+        """Left multiplication by z_j^-1 = z_j + m.
+
+        (z_j + m) T_w is T_{jw} when j is a left descent of w and
+        T_{jw} + m T_w otherwise.
+        """
+        rs = self.rs
+        terms: dict[Weyl, Scalar] = {}
+        for w, c in self.terms.items():
+            _acc(terms, rs.left_mul_simple(j, w), c)
+            if not rs.left_descent(j, w):
+                _acc(terms, w, _M * c)
+        return HeckeElement(rs, self.parent, terms)
+
+    def mul_word(self, word) -> HeckeElement:
         out = self
-        if sign > 0:
-            for j in word:
-                out = out.mul_generator(j)
-        else:
-            for j in reversed(tuple(word)):
-                out = out.mul_generator(j, inverse=True)
+        for j in word:
+            out = out.mul_generator(j)
         return out
 
     def __mul__(self, other):

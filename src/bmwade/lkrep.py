@@ -37,8 +37,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .hecke import HeckeElement, ParabolicError, eval_signed_word, in_parabolic
-from .rootsys import Root, RootSystem, Weyl, build_type
-from .scalar import P_ONE, P_VAR, Scalar, x_value
+from .rootsys import Root, RootSystem, build_type
+from .scalar import Scalar, x_value
 
 
 class SparseMatrix:
@@ -68,8 +68,8 @@ class SparseMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, SparseMatrix) and self.size == other.size and self.cols == other.cols
 
-    def is_zero(self) -> bool:
-        return not self.cols
+    def __bool__(self) -> bool:
+        return bool(self.cols)
 
     def __add__(self, other: SparseMatrix) -> SparseMatrix:
         cols = {c: dict(col) for c, col in self.cols.items()}
@@ -298,7 +298,7 @@ class LawrenceKrammer(LKRepresentation):
     l = Scalar.l(1)
     linv = Scalar.l(-1)
     x = x_value()
-    l_over_m = Scalar.from_ratfunc(P_ONE, P_VAR, lexp=1)
+    l_over_m = Scalar.l(1) / Scalar.m()
 
     def __init__(self, rs: RootSystem):
         super().__init__(rs)
@@ -331,21 +331,18 @@ class LawrenceKrammer(LKRepresentation):
         letters contribute z + m) and the result is projected onto the
         C-parabolic.  The product is assembled as a conjugation followed by
         one-sided letter multiplications, which keeps intermediate supports
-        small; coefficients stay in Z[m] throughout, so the fast evaluator
-        works on integer tuples, and the factor m is a shift by one degree.
+        small.
         """
         rs = self.rs
         raw = _closed_form_eval(
             rs, i, rs.s_beta_word(beta), rs.d_beta_word(beta),
             rs.d_beta_word(rs.alpha(i)))
-        terms = {}
-        for w, c in raw.items():
+        for w in raw:
             if not in_parabolic(rs, w, self.c_set):
                 raise ParabolicError(
                     f"T closed form for i={i}, beta={beta} left the C-parabolic "
                     f"at {rs.reduced_word(w)}", rs.reduced_word(w))
-            terms[w] = Scalar.from_ratfunc((0,) + c)
-        return HeckeElement(rs, self.c_set, terms)
+        return HeckeElement(rs, self.c_set, raw).scale(self.m)
 
 
 class CharacterSpecialization(LKRepresentation):
@@ -418,72 +415,21 @@ class CharacterSpecialization(LKRepresentation):
         return self.m * self.c0 ** pos * self.r ** inv
 
 
-def _ip_add(store: dict, key, c) -> None:
-    cur = store.get(key)
-    if cur is None:
-        store[key] = c
-        return
-    out = list(cur) if len(cur) >= len(c) else list(c)
-    small = c if len(cur) >= len(c) else cur
-    for k, v in enumerate(small):
-        out[k] += v
-    while out and not out[-1]:
-        out.pop()
-    if out:
-        store[key] = tuple(out)
-    else:
-        del store[key]
-
-
 def _closed_form_eval(rs: RootSystem, i: int, s_word, d_b_word, d_ai_word) -> dict:
-    """Full-type Hecke image of d_{alpha_i}^-1 s_beta^-1 s_i s_beta d_beta.
+    """Full-type Hecke terms of d_{alpha_i}^-1 s_beta^-1 s_i s_beta d_beta.
 
-    Terms map Weyl images to integer m-polynomials; each term also tracks
-    the inverse element so that left and right descents are both one sign
-    test.  The three phases are: conjugate T_i letterwise through s_beta,
-    right-multiply by the d_beta letters, left-multiply by the inverses of
-    the d_{alpha_i} letters.  One-sided inverse steps use that (T_j + m) T_w
-    collapses to T_{jw} whenever j is a left descent of w (and symmetrically
-    on the right), which is where the cancellation lives.
+    Three phases: conjugate z_i letterwise through s_beta, right-multiply
+    by the d_beta letters, left-multiply by the inverses of the d_{alpha_i}
+    letters.  A left inverse letter z_j + m collapses T_w to T_{jw} whenever
+    j is a left descent of w, which is where the cancellation lives.
     """
-    ri = rs.simple_reflection(i)
-    terms: dict[Weyl, tuple] = {ri: (1,)}
-    inv_of: dict[Weyl, Weyl] = {ri: ri}
-
-    def right_mul(cur, j, inverse=False):
-        out: dict[Weyl, tuple] = {}
-        for w, c in cur.items():
-            winv = inv_of[w]
-            ws = rs.right_mul_simple(w, j)
-            if ws not in inv_of:
-                inv_of[ws] = rs.left_mul_simple(j, winv)
-            _ip_add(out, ws, c)
-            descent = all(v <= 0 for v in w[j - 1])
-            if descent and not inverse:
-                _ip_add(out, w, tuple(-v for v in (0,) + c))
-            elif inverse and not descent:
-                _ip_add(out, w, (0,) + c)
-        return out
-
-    def left_mul_inv(cur, j):
-        out: dict[Weyl, tuple] = {}
-        for w, c in cur.items():
-            winv = inv_of[w]
-            jw = rs.left_mul_simple(j, w)
-            if jw not in inv_of:
-                inv_of[jw] = rs.right_mul_simple(winv, j)
-            _ip_add(out, jw, c)
-            if not all(v <= 0 for v in winv[j - 1]):
-                _ip_add(out, w, (0,) + c)
-        return out
-
+    h = HeckeElement.generator(rs, frozenset(rs.nodes), i)
     for a in s_word:
-        terms = left_mul_inv(right_mul(terms, a), a)
-    for a in d_b_word:
-        terms = right_mul(terms, a)
+        h = h.mul_generator(a).left_mul_inverse(a)
+    h = h.mul_word(d_b_word)
     for a in d_ai_word:
-        terms = left_mul_inv(terms, a)
-    return terms
+        h = h.left_mul_inverse(a)
+    return h.terms
 
 
 @lru_cache(maxsize=None)

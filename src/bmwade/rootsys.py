@@ -84,16 +84,13 @@ class RootSystem:
             adj[a].add(b)
             adj[b].add(a)
         self.neighbors = {i: tuple(sorted(adj[i])) for i in self.nodes}
-        self.cartan = tuple(
-            tuple(2 if i == j else (-1 if j in adj[i] else 0) for j in self.nodes)
-            for i in self.nodes
-        )
         self.simple_roots = tuple(
             tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
         )
         self.positive_roots = self._generate_positive_roots()
         self.root_index = {b: k for k, b in enumerate(self.positive_roots)}
         self.highest_root = self.positive_roots[-1]
+        self.two_rho = tuple(map(sum, zip(*self.positive_roots)))
         self.c_nodes = tuple(
             j for j in self.nodes if self.pairing_simple(j, self.highest_root) == 0
         )
@@ -121,8 +118,7 @@ class RootSystem:
         return self.simple_roots[i - 1]
 
     def pairing_simple(self, i: int, beta: Root) -> int:
-        row = self.cartan[i - 1]
-        return sum(r * c for r, c in zip(row, beta) if c)
+        return 2 * beta[i - 1] - sum(beta[k - 1] for k in self.neighbors[i])
 
     def pairing(self, beta: Root, gamma: Root) -> int:
         return sum(
@@ -218,6 +214,14 @@ class RootSystem:
         """r_j w; reflects every stored image."""
         return tuple(self.reflect(j, img) for img in w)
 
+    def left_descent(self, j: int, w: Weyl) -> bool:
+        """Whether l(r_j w) < l(w), that is, w^-1(alpha_j) < 0.
+
+        The test is the sign of (alpha_j, w(2 rho)) = 2 ht(w^-1 alpha_j),
+        with 2 rho the sum of the positive roots.
+        """
+        return sum(c * self.pairing_simple(j, img) for c, img in zip(self.two_rho, w)) < 0
+
     def invert(self, w: Weyl) -> Weyl:
         return self.word_element(tuple(reversed(self.reduced_word(w))))
 
@@ -234,7 +238,7 @@ class RootSystem:
         while cur != self.identity:
             for i in self.nodes:
                 if _is_negative(cur[i - 1]):
-                    cur = self.compose(cur, self.simple_reflection(i))
+                    cur = self.right_mul_simple(cur, i)
                     letters.append(i)
                     break
             else:

@@ -205,9 +205,6 @@ class Scalar:
             yield e, (tuple(Fraction(c, lead) for c in num),
                       tuple(Fraction(c, lead) for c in den))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bmwade.hecke import HeckeElement, ParabolicError, eval_signed_word, in_parabolic
-from bmwade.lkrep import build_lk
+from bmwade.lkrep import LawrenceKrammer, build_lk
 from bmwade.rootsys import build_type, enumerate_parabolic, parabolic_order
 from bmwade.scalar import Scalar
 
@@ -70,6 +70,17 @@ def test_associativity_randomized_d4():
         assert (a * b) * c == a * (b * c)
 
 
+def test_left_mul_inverse_randomized_d4():
+    rs = build_type("D4")
+    P = full_parent(rs)
+    pool = enumerate_parabolic(rs, rs.nodes)
+    rng = random.Random(7)
+    for _ in range(40):
+        h = rand_element(rs, P, rng, pool)
+        j = rng.choice(rs.nodes)
+        assert h.left_mul_inverse(j) == eval_signed_word(rs, P, [(j, -1)]) * h
+
+
 def test_eval_signed_word_examples():
     rs = build_type("D4")
     C = c_parent(rs)
@@ -109,16 +120,33 @@ def test_projection():
         HeckeElement.generator(rs, C, 2)
 
 
-def test_closed_form_words_project_on_a3():
-    # full-type evaluation of m d_{a_i}^-1 s_b^-1 s_i s_b d_b lands in the
-    # C-parabolic for every valid pair; success of the projection is the test
-    rs = build_type("A3")
-    lk = build_lk("A3")
+@pytest.mark.parametrize("label", ["A3", "A4", "D4", "A5"])
+def test_closed_form_equals_left_to_right_evaluation(label):
+    # m d_{a_i}^-1 s_b^-1 s_i s_b d_b lands in the C-parabolic for every valid
+    # pair; t_closed_form conjugates and then multiplies one side at a time,
+    # and the reference is the plain left-to-right product of the whole word
+    lk = build_lk(label)
+    rs = lk.rs
+    P = full_parent(rs)
     for beta in rs.positive_roots:
         for i in rs.nodes:
-            if rs.pairing_simple(i, beta) == 1 and rs.height(beta) > 2:
-                t = lk.t_closed_form(i, beta)
-                assert t.parent == frozenset(rs.c_nodes)
+            if rs.pairing_simple(i, beta) != 1 or rs.height(beta) <= 2:
+                continue
+            s_word, d_word = rs.s_beta_word(beta), rs.d_beta_word(beta)
+            signed = ([(a, -1) for a in reversed(rs.d_beta_word(rs.alpha(i)))]
+                      + [(a, -1) for a in reversed(s_word)] + [(i, 1)]
+                      + [(a, 1) for a in s_word + d_word])
+            direct = eval_signed_word(rs, P, signed).scale(M).project_subalgebra(rs.c_nodes)
+            t = lk.t_closed_form(i, beta)
+            assert t.parent == frozenset(rs.c_nodes) and t == direct
+
+
+def test_closed_form_projection_failure_names_the_pair():
+    lk = LawrenceKrammer(build_type("A3"))
+    lk.c_set = frozenset()  # T_{1,(1,1,1)} = m^2 + m z_2 leaves the trivial parabolic
+    with pytest.raises(ParabolicError, match=r"i=1, beta=\(1, 1, 1\)") as err:
+        lk.t_closed_form(1, (1, 1, 1))
+    assert err.value.word == (2,)
 
 
 def test_parent_mismatch_errors():

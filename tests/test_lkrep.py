@@ -217,7 +217,8 @@ def test_sparse_matrix_algebra():
     ident = SparseMatrix.identity(3, one)
     a = SparseMatrix(3, {0: {1: Fraction(2)}, 2: {0: Fraction(1)}})
     assert a * ident == a and ident * a == a
-    assert (a - a).is_zero()
+    assert not (a - a)
+    assert a
     assert (a + a) == a.scale(Fraction(2))
 
 

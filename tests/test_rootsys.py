@@ -113,6 +113,15 @@ def test_length_of_inverse_exhaustive_a3():
         assert rs.compose(w, rs.invert(w)) == rs.identity
 
 
+@pytest.mark.parametrize("label", ["A3", "A4", "D4"])
+def test_left_descent_is_a_length_drop(label):
+    rs = build_type(label)
+    for w in enumerate_parabolic(rs, rs.nodes):
+        length = rs.weyl_length(w)
+        for j in rs.nodes:
+            assert rs.left_descent(j, w) == (rs.weyl_length(rs.left_mul_simple(j, w)) < length)
+
+
 def test_min_coset_word_examples():
     rs = build_type("A2")
     assert rs.min_coset_word(rs.alpha(1), 1) == ()
