@@ -186,11 +186,9 @@ def _cmd_verify(args) -> int:
             if args.specialize:
                 raise UsageError("the a2dim suite has no specialized mode")
             report = a2_dimension_check()
-        elif args.specialize:
-            l0, r0 = _parse_specialize(args.specialize)
-            report = run_suite(args.suite, rs.dtype.label, "specialized", l0, r0)
         else:
-            report = run_suite(args.suite, rs.dtype.label, "generic")
+            point = _parse_specialize(args.specialize) if args.specialize else None
+            report = run_suite(args.suite, rs.dtype.label, point)
     except UnsupportedModeError as exc:
         raise UsageError(str(exc)) from exc
     if args.json:

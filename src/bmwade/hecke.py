@@ -43,18 +43,10 @@ class ParabolicError(ValueError):
 def in_parabolic(rs: RootSystem, w: Weyl, nodes: frozenset) -> bool:
     """Whether w lies in the standard parabolic generated by ``nodes``.
 
-    Strips right descents that belong to the node set; membership holds
-    exactly when this reaches the identity.
+    Every reduced word of w uses the same letters, and w lies in W_J exactly
+    when those letters are in J; the cached canonical word is checked.
     """
-    cur = w
-    while cur != rs.identity:
-        for i in nodes:
-            if _is_negative(cur[i - 1]):
-                cur = rs.right_mul_simple(cur, i)
-                break
-        else:
-            return False
-    return True
+    return set(rs.reduced_word(w)) <= nodes
 
 
 class HeckeElement:

@@ -4,8 +4,10 @@ Every defining and derived relation of the algebra is checked against the
 representation matrices, either exactly over the symbolic coefficient ring
 (generic mode, A1-A5, D4, D5 and E6) or exactly over the rationals at
 a specialization point l = l0, r = r0 with the one-dimensional character
-z -> 1/r0 (specialized mode, all types including E8).  A failing check
-always carries a concrete witness: the indices involved and the first
+z -> 1/r0 (specialized mode, all types including E8).  Each relation is
+stated once, whatever the ring: sigma and tau share one braid loop, and the
+adjacent-node rows of the T table share one instance walker.  A failing
+check always carries a concrete witness: the indices involved and the first
 nonzero residual cell.
 
 The dimension report reproduces the closed-form counts: |Phi+|^2 |W_C| for
@@ -125,57 +127,65 @@ def _check_eq(out: list, name: str, a: SparseMatrix, b: SparseMatrix, rs):
 # linv, x, which right-multiply entries.
 
 
-def _suite_braid(rep: LKRepresentation) -> list[CheckResult]:
-    rs, out, S = rep.rs, [], rep.sigma
+def _braid_checks(rs, M, prefix: str) -> list[CheckResult]:
+    """Artin relations of the matrices M(i): braid when adjacent, else commute."""
+    out = []
     for i in rs.nodes:
         for j in rs.nodes:
             if j <= i:
                 continue
             if j in rs.neighbors[i]:
-                _check_eq(out, f"braid_{i}_{j}", S(i) * S(j) * S(i), S(j) * S(i) * S(j), rs)
+                _check_eq(out, f"{prefix}braid_{i}_{j}", M(i) * M(j) * M(i), M(j) * M(i) * M(j), rs)
             else:
-                _check_eq(out, f"commute_{i}_{j}", S(i) * S(j), S(j) * S(i), rs)
+                _check_eq(out, f"{prefix}commute_{i}_{j}", M(i) * M(j), M(j) * M(i), rs)
     return out
+
+
+def _suite_braid(rep: LKRepresentation) -> list[CheckResult]:
+    return _braid_checks(rep.rs, rep.sigma, "")
 
 
 def _suite_essential(rep: LKRepresentation) -> list[CheckResult]:
     rs, out = rep.rs, []
-    m, ident, zero = rep.m, rep.identity_matrix, SparseMatrix(rep.size)
+    m, ident, zero = rep.m, rep.identity_matrix(), SparseMatrix(rep.size)
+    e_linv = {}
     for i in rs.nodes:
         S, E = rep.sigma(i), rep.e_matrix(i)
-        _check_eq(out, f"r1_ge_{i}", S * E, E.scale(rep.linv), rs)
-        _check_eq(out, f"r1_eg_{i}", E * S, E.scale(rep.linv), rs)
+        e_linv[i] = E.scale(rep.linv)
+        _check_eq(out, f"r1_ge_{i}", S * E, e_linv[i], rs)
+        _check_eq(out, f"r1_eg_{i}", E * S, e_linv[i], rs)
         _check_eq(out, f"esq_{i}", E * E, E.scale(rep.x), rs)
-        _check_eq(out, f"cubic_{i}", rep.e_and_f(i)[1] * (S - ident().scale(rep.linv)), zero, rs)
-        _check_eq(out, f"inverse_{i}", S * (S + (ident() - E).scale(m)), ident(), rs)
+        _check_eq(out, f"cubic_{i}", rep.e_and_f(i)[1] * (S - ident.scale(rep.linv)), zero, rs)
+        _check_eq(out, f"inverse_{i}", S * rep.sigma_inv(i), ident, rs)
     for i in rs.nodes:
+        Ei, Si = rep.e_matrix(i), rep.sigma(i)
         for j in rs.nodes:
-            if i == j:
+            adjacent = j in rs.neighbors[i]
+            if j == i or (not adjacent and j < i):
                 continue
-            Ei, Ej, Si, Sj = rep.e_matrix(i), rep.e_matrix(j), rep.sigma(i), rep.sigma(j)
-            if j in rs.neighbors[i]:
-                _check_eq(out, f"r2_{i}_{j}", Ei * Sj * Ei, Ei.scale(rep.l), rs)
-                _check_eq(out, f"wenzl_cross_{i}_{j}", Ei * rep.sigma_inv(j) * Ei,
-                          Ei.scale(rep.linv), rs)
-                _check_eq(out, f"iji_gge_a_{i}_{j}", Sj * Si * Ej, Ei * Sj * Si, rs)
-                _check_eq(out, f"iji_gge_b_{i}_{j}", Sj * Si * Ej, Ei * Ej, rs)
-                _check_eq(out, f"iji_geg_a_{i}_{j}", Sj * Ei * Sj,
-                          rep.sigma_inv(i) * Ej * rep.sigma_inv(i), rs)
-                expanded = (Si * Ej * Si
-                            + (Ej * Si - Ei * Sj + Si * Ej - Sj * Ei).scale(m)
-                            + (Ej - Ei).scale(m * m))
-                _check_eq(out, f"iji_geg_b_{i}_{j}", Sj * Ei * Sj, expanded, rs)
-                _check_eq(out, f"iji_eeg_a_{i}_{j}", Ej * Ei * Sj, Ej * rep.sigma_inv(i), rs)
-                _check_eq(out, f"iji_eeg_b_{i}_{j}", Ej * Ei * Sj,
-                          Ej * Si + (Ej - Ej * Ei).scale(m), rs)
-                _check_eq(out, f"iji_gee_a_{i}_{j}", Sj * Ei * Ej, rep.sigma_inv(i) * Ej, rs)
-                _check_eq(out, f"iji_gee_b_{i}_{j}", Sj * Ei * Ej,
-                          Si * Ej + (Ej - Ei * Ej).scale(m), rs)
-                _check_eq(out, f"iji_eje_{i}_{j}", Ei * Ej * Ei, Ei, rs)
-            elif j > i:
-                _check_eq(out, f"ee_zero_{i}_{j}", Ei * Ej, zero, rs)
-                _check_eq(out, f"commute_eg_{i}_{j}", Ei * Sj, Sj * Ei, rs)
-                _check_eq(out, f"commute_ee_{i}_{j}", Ei * Ej, Ej * Ei, rs)
+            Ej, Sj = rep.e_matrix(j), rep.sigma(j)
+            EiSj, SjEi, EiEj = Ei * Sj, Sj * Ei, Ei * Ej
+            if not adjacent:
+                _check_eq(out, f"ee_zero_{i}_{j}", EiEj, zero, rs)
+                _check_eq(out, f"commute_eg_{i}_{j}", EiSj, SjEi, rs)
+                _check_eq(out, f"commute_ee_{i}_{j}", EiEj, Ej * Ei, rs)
+                continue
+            Gi = rep.sigma_inv(i)
+            EjSi, SiEj, GiEj = Ej * Si, Si * Ej, Gi * Ej
+            SjSiEj, SjEiSj, EjEiSj, SjEiEj = Sj * SiEj, SjEi * Sj, Ej * EiSj, SjEi * Ej
+            _check_eq(out, f"r2_{i}_{j}", EiSj * Ei, Ei.scale(rep.l), rs)
+            _check_eq(out, f"wenzl_cross_{i}_{j}", Ei * rep.sigma_inv(j) * Ei, e_linv[i], rs)
+            _check_eq(out, f"iji_gge_a_{i}_{j}", SjSiEj, EiSj * Si, rs)
+            _check_eq(out, f"iji_gge_b_{i}_{j}", SjSiEj, EiEj, rs)
+            _check_eq(out, f"iji_geg_a_{i}_{j}", SjEiSj, GiEj * Gi, rs)
+            expanded = (SiEj * Si + (EjSi - EiSj + SiEj - SjEi).scale(m)
+                        + (Ej - Ei).scale(m * m))
+            _check_eq(out, f"iji_geg_b_{i}_{j}", SjEiSj, expanded, rs)
+            _check_eq(out, f"iji_eeg_a_{i}_{j}", EjEiSj, Ej * Gi, rs)
+            _check_eq(out, f"iji_eeg_b_{i}_{j}", EjEiSj, EjSi + (Ej - Ej * Ei).scale(m), rs)
+            _check_eq(out, f"iji_gee_a_{i}_{j}", SjEiEj, GiEj, rs)
+            _check_eq(out, f"iji_gee_b_{i}_{j}", SjEiEj, SiEj + (Ej - EiEj).scale(m), rs)
+            _check_eq(out, f"iji_eje_{i}_{j}", EiEj * Ei, Ei, rs)
     return out
 
 
@@ -235,65 +245,41 @@ def _suite_table1(rep: LKRepresentation) -> list[CheckResult]:
                 for j in rs.nodes:
                     if j == i or j in rs.neighbors[i] or rs.pairing_simple(j, beta) != 1:
                         continue
-                    if beta == rs.alpha(j):
-                        continue
                     hinv = rep.z_inv(rep.h_node(rs.alpha(i), j))
                     yield (f"i={i} j={j} beta={beta}", t(i, beta),
                            hinv * t(i, rs.sub_simple(beta, j)))
 
-    def row5():
+    def adjacent(pi, pj):
+        """(label, beta, i, j) for j adjacent to i, (alpha_i, beta) = pi, (alpha_j, beta) = pj."""
         for beta in roots:
             for i in rs.nodes:
-                if rs.pairing_simple(i, beta) != 0:
+                if rs.pairing_simple(i, beta) != pi:
                     continue
                 for j in rs.neighbors[i]:
-                    if rs.pairing_simple(j, beta) != 1 or beta == rs.alpha(j):
-                        continue
-                    gamma = rs.sub_simple(beta, j)
-                    yield (f"i={i} j={j} beta={beta}", t(i, beta),
-                           t(j, rs.sub_simple(gamma, i)) + t(i, gamma) * m)
+                    if rs.pairing_simple(j, beta) == pj:
+                        yield f"i={i} j={j} beta={beta}", beta, i, j
+
+    def row5():
+        for label, beta, i, j in adjacent(0, 1):
+            gamma = rs.sub_simple(beta, j)
+            yield label, t(i, beta), t(j, rs.sub_simple(gamma, i)) + t(i, gamma) * m
 
     def row6():
-        for beta in roots:
-            for i in rs.nodes:
-                if rs.pairing_simple(i, beta) != -1:
-                    continue
-                for j in rs.neighbors[i]:
-                    if rs.pairing_simple(j, beta) != 1 or beta == rs.alpha(j):
-                        continue
-                    gamma = rs.sub_simple(beta, j)
-                    yield (f"i={i} j={j} beta={beta}", t(i, beta),
-                           t(j, gamma) * rep.h_elem(gamma, i) + t(i, gamma) * m)
-
-    def row7():
-        for beta in roots:
-            for i in rs.nodes:
-                if rs.pairing_simple(i, beta) != 1 or beta == rs.alpha(i):
-                    continue
-                for j in rs.neighbors[i]:
-                    if rs.pairing_simple(j, beta) != 0:
-                        continue
-                    yield (f"i={i} j={j} beta={beta}", t(i, beta),
-                           t(j, rs.sub_simple(beta, i)) * rep.z_inv(rep.h_node(beta, j)))
+        for label, beta, i, j in adjacent(-1, 1):
+            gamma = rs.sub_simple(beta, j)
+            yield label, t(i, beta), t(j, gamma) * rep.h_elem(gamma, i) + t(i, gamma) * m
 
     run("t_row4_commuting", row4())
     run("t_row5_adjacent0", row5())
     run("t_row6_adjacent-1", row6())
-    run("t_row7_pairing1", row7())
-
-    def jast3():
-        for beta in roots:
-            for i in rs.nodes:
-                if rs.pairing_simple(i, beta) != 0:
-                    continue
-                for j in rs.neighbors[i]:
-                    if j < i or rs.pairing_simple(j, beta) != 0:
-                        continue
-                    yield (f"i={i} j={j} beta={beta}",
-                           t(i, beta) * rep.h_elem(beta, j),
-                           t(j, beta) * rep.h_elem(beta, i))
-
-    run("t_both_orthogonal", jast3())
+    run("t_row7_pairing1", (
+        (label, t(i, beta), t(j, rs.sub_simple(beta, i)) * rep.z_inv(rep.h_node(beta, j)))
+        for label, beta, i, j in adjacent(1, 0)
+    ))
+    run("t_both_orthogonal", (
+        (label, t(i, beta) * rep.h_elem(beta, j), t(j, beta) * rep.h_elem(beta, i))
+        for label, beta, i, j in adjacent(0, 0) if j > i
+    ))
 
     if isinstance(rep, LawrenceKrammer):
         # l-freeness is a statement about symbolic coefficients; a rational
@@ -304,17 +290,10 @@ def _suite_table1(rep: LKRepresentation) -> list[CheckResult]:
     if rs.dtype.label in ("A3", "A4", "D4"):
         # h against its full-type Hecke evaluation, whatever ring is under test
         lk = build_lk(rs.dtype.label)
-        bad = None
-        for beta in roots:
-            for i in rs.nodes:
-                if rs.pairing_simple(i, beta) != 0:
-                    continue
-                if lk.h_oracle(beta, i) != lk.h_elem(beta, i):
-                    bad = f"i={i} beta={beta}"
-                    break
-            if bad:
-                break
-        out.append(CheckResult("t_hnode_oracle", bad is None, bad))
+        run("t_hnode_oracle", (
+            (f"i={i} beta={beta}", lk.h_oracle(beta, i), lk.h_elem(beta, i))
+            for beta in roots for i in rs.nodes if rs.pairing_simple(i, beta) == 0
+        ))
     return out
 
 
@@ -353,17 +332,17 @@ def _suite_choice(rep: LKRepresentation) -> list[CheckResult]:
 
 def _suite_zaction(rep: LKRepresentation) -> list[CheckResult]:
     """The x_{alpha_i} column of W(k,i) sigma_j W(i,k) e_i, pushed through the factors."""
-    rs = rep.rs
-    out = []
+    rs, out = rep.rs, []
     for i in rs.nodes:
         ai_idx = rs.root_index[rs.alpha(i)]
         bad = None
         for k in rs.nodes:
-            for j in rs.nodes:
-                if j == k or j in rs.neighbors[k]:
-                    continue
-                col = rep.word_apply(rs.geodesic_word(i, k), rep.e_matrix(i).column(ai_idx))
-                col = rep.word_apply(rs.geodesic_word(k, i), rep.sigma(j).apply(col))
+            far = [j for j in rs.nodes if j != k and j not in rs.neighbors[k]]
+            if not far:
+                continue
+            pushed = rep.word_apply(rs.geodesic_word(i, k), rep.e_matrix(i).column(ai_idx))
+            for j in far:
+                col = rep.word_apply(rs.geodesic_word(k, i), rep.sigma(j).apply(pushed))
                 expect = rep.h_elem(rs.alpha(k), j) * rep.x
                 good = set(col) <= {ai_idx} and col.get(ai_idx, 0) == expect
                 if not good and bad is None:
@@ -373,17 +352,7 @@ def _suite_zaction(rep: LKRepresentation) -> list[CheckResult]:
 
 
 def _suite_tau(rep: LKRepresentation) -> list[CheckResult]:
-    rs, out = rep.rs, []
-    for i in rs.nodes:
-        for j in rs.nodes:
-            if j <= i:
-                continue
-            Ti, Tj = rep.tau(i), rep.tau(j)
-            if j in rs.neighbors[i]:
-                _check_eq(out, f"tau_braid_{i}_{j}", Ti * Tj * Ti, Tj * Ti * Tj, rs)
-            else:
-                _check_eq(out, f"tau_commute_{i}_{j}", Ti * Tj, Tj * Ti, rs)
-    return out
+    return _braid_checks(rep.rs, rep.tau, "tau_")
 
 
 _SUITE_FNS = {
@@ -396,26 +365,24 @@ _SUITE_FNS = {
 }
 
 
-def run_suite(suite: str, type_label: str, mode: str = "generic",
-              l0=None, r0=None) -> SuiteReport:
+def run_suite(suite: str, type_label: str, point=None) -> SuiteReport:
+    """Run one suite, or ``"all"``: in generic mode when ``point`` is None,
+    else specialized at ``point`` = (l0, r0), which needs l0 != 0 and m != 0."""
     if suite != "all" and suite not in SUITE_NAMES:
         raise UnsupportedModeError(f"unknown suite {suite!r}")
-    if mode == "generic":
+    if point is None:
         if type_label not in GENERIC_TYPES:
             raise UnsupportedModeError(
                 f"generic mode supports {', '.join(GENERIC_TYPES)}; "
                 f"use specialized mode for {type_label}")
         rep = build_lk(type_label)
         mode_label = "generic"
-    elif mode == "specialized":
-        l0 = DEFAULT_L0 if l0 is None else Fraction(l0)
-        r0 = DEFAULT_R0 if r0 is None else Fraction(r0)
+    else:
+        l0, r0 = Fraction(point[0]), Fraction(point[1])
         if l0 == 0 or r0 in (0, 1, -1):  # m = 0 leaves e_i = (l/m) f_i undefined
             raise UnsupportedModeError("need l0 != 0 and r0 not in {0, 1, -1}")
         rep = CharacterSpecialization(build_lk(type_label), l0, r0)
         mode_label = f"specialized l={l0} r={r0}"
-    else:
-        raise UnsupportedModeError(f"unknown mode {mode!r}")
     names = SUITE_NAMES if suite == "all" else (suite,)
     report = SuiteReport(suite, type_label, mode_label)
     for name in names:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 
-from .hecke import HeckeElement
+from .hecke import HeckeElement, eval_signed_word
 from .lkrep import LawrenceKrammer, SparseMatrix
 from .rootsys import RootSystem
 from .scalar import Scalar, x_value
@@ -56,7 +56,7 @@ def parse_word(rs: RootSystem, text: str) -> BmwWord:
     for token in text.split():
         pos = text.index(token, pos)
         kind = token[0]
-        if kind not in "gGe" or not token[1:].isdigit():
+        if kind not in "gGe" or not token[1:].isdecimal():
             raise WordParseError(f"bad token {token!r} at position {pos}")
         node = int(token[1:])
         if node not in rs.nodes:
@@ -229,13 +229,11 @@ def reduce_word(rs: RootSystem, word: BmwWord) -> dict:
 
 def rep_image_word(lk: LawrenceKrammer, word: BmwWord) -> tuple[HeckeElement, SparseMatrix]:
     """Image of a single word in the Hecke quotient and in the LK module."""
-    rs = lk.rs
-    hecke = HeckeElement.unit(rs, lk.full_set)
-    for node, kind in word:
-        if kind == "e":
-            hecke = HeckeElement.zero(rs, lk.full_set)
-            break
-        hecke = hecke.mul_generator(node, inverse=(kind == "G"))
+    if any(kind == "e" for _, kind in word):
+        hecke = HeckeElement.zero(lk.rs, lk.full_set)
+    else:
+        signed = [(node, -1 if kind == "G" else 1) for node, kind in word]
+        hecke = eval_signed_word(lk.rs, lk.full_set, signed)
     mat = lk.identity_matrix()
     for node, kind in word:
         if kind == "g":

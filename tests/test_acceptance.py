@@ -81,7 +81,7 @@ def test_criterion_2_dimension_formulas():
 def test_criterion_3_generic_relation_suites():
     sw = _Stopwatch(3, 30.0)
     for label in ("A2", "A3", "A4", "A5", "D4", "D5"):
-        report = run_suite("all", label, "generic")
+        report = run_suite("all", label)
         bad = [c for c in report.checks if not c.ok]
         assert not bad, (label, bad)
     sw.done()
@@ -92,7 +92,7 @@ def test_criterion_4_specialized_suites_e_types():
     points = [(DEFAULT_L0, DEFAULT_R0)] + seeded_points()
     for label in ("E6", "E7", "E8"):
         for l0, r0 in points:
-            report = run_suite("all", label, "specialized", l0, r0)
+            report = run_suite("all", label, (l0, r0))
             bad = [c for c in report.checks if not c.ok]
             assert not bad, (label, l0, r0, bad)
     sw.done()
@@ -101,11 +101,11 @@ def test_criterion_4_specialized_suites_e_types():
 def test_criterion_5_table1_validation():
     sw = _Stopwatch(5, 10.0)
     for label in ("A4", "D4", "D5"):
-        report = run_suite("table1", label, "generic")
+        report = run_suite("table1", label)
         bad = [c for c in report.checks if not c.ok]
         assert not bad, (label, bad)
     for label in ("D4", "D5"):
-        report = run_suite("table1", label, "generic")
+        report = run_suite("table1", label)
         names = {c.name for c in report.checks}
         assert {"t_choice_commuting_step", "t_choice_adjacent_step"} <= names
     sw.done()
@@ -147,7 +147,7 @@ def test_criterion_6_oracle_agreement():
                         hinv = lk.z(lk.h_node(beta, j)) + unit.scale(m)
                         assert closed == lk.t_coeff(j, rs.sub_simple(beta, i)) * hinv, \
                             (label, i, j, beta)
-        report = run_suite("table1", label, "generic")
+        report = run_suite("table1", label)
         assert report.passed, label
     sw.done()
 
@@ -184,7 +184,7 @@ def test_criterion_9_structural_properties():
         lk = build_lk(label)
         rs = lk.rs
         # tau alone is a monoid morphism
-        report = run_suite("tau_monoid", label, "generic")
+        report = run_suite("tau_monoid", label)
         assert report.passed, label
         # sigma of a geodesic word carries x_{alpha_i} to x_{alpha_k}
         for i in rs.nodes:

@@ -227,3 +227,14 @@ def test_closed_stdout_exits_141_without_a_message():
         proc.stderr.close()
     assert code == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("roots", "--type", "A³"), "cannot parse Dynkin type 'A³'"),
+    (("reduce", "--type", "A2", "--word", "g²"), "bad token 'g²' at position 0"),
+])
+def test_non_ascii_digits_are_usage_errors(capsys, argv, message):
+    # str.isdigit accepts superscripts that int() then rejects
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == f"error: {message}"

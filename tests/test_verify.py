@@ -3,8 +3,10 @@ from math import factorial
 
 import pytest
 
-from bmwade.lkrep import CharacterSpecialization, SparseMatrix, build_lk
+from bmwade.lkrep import CharacterSpecialization, LawrenceKrammer, SparseMatrix, build_lk
+from bmwade.rootsys import build_type
 from bmwade.verify import (
+    _SUITE_FNS,
     UnsupportedModeError,
     _mat_witness,
     _suite_zaction,
@@ -17,32 +19,30 @@ from bmwade.verify import (
 
 
 def test_all_suites_a2_generic():
-    report = run_suite("all", "A2", "generic")
+    report = run_suite("all", "A2")
     assert report.passed
     names = [c.name for c in report.checks]
     assert names == sorted(names)
 
 
 def test_essential_d4_contains_nonadjacent_annihilation():
-    report = run_suite("essential", "D4", "generic")
+    report = run_suite("essential", "D4")
     assert report.passed
     assert any(c.name == "ee_zero_1_3" for c in report.checks)
 
 
 def test_generic_mode_rejected_for_large_types():
     with pytest.raises(UnsupportedModeError):
-        run_suite("braid", "E7", "generic")
+        run_suite("braid", "E7")
     with pytest.raises(UnsupportedModeError):
-        run_suite("nonsense", "A2", "generic")
-    with pytest.raises(UnsupportedModeError):
-        run_suite("braid", "A2", "florp")
+        run_suite("nonsense", "A2")
 
 
 @pytest.mark.parametrize("suite", ["braid", "table1"])
 def test_generic_e6_suite_passes(suite):
     # the only tier-1 check of the non-commuting Hecke factor order on an E type:
     # the character route of the E suites cannot see it
-    report = run_suite(suite, "E6", "generic")
+    report = run_suite(suite, "E6")
     assert report.mode == "generic"
     assert report.checks and report.passed, [c for c in report.checks if not c.ok]
 
@@ -50,14 +50,14 @@ def test_generic_e6_suite_passes(suite):
 def test_specialized_matches_generic_on_samples():
     # generic pass implies specialized pass at any valid point
     for l0, r0 in [(Fraction(5, 7), Fraction(3, 2))] + seeded_points():
-        rep = run_suite("all", "A3", "specialized", l0, r0)
+        rep = run_suite("all", "A3", (l0, r0))
         assert rep.passed, [c for c in rep.checks if not c.ok]
 
 
 def test_specialized_rejects_degenerate_point():
     for l0, r0 in ((Fraction(5, 7), 1), (Fraction(5, 7), -1), (Fraction(5, 7), 0), (0, Fraction(3, 2))):
         with pytest.raises(UnsupportedModeError, match=r"need l0 != 0 and r0 not in \{0, 1, -1\}"):
-            run_suite("braid", "A2", "specialized", l0, r0)
+            run_suite("braid", "A2", (l0, r0))
 
 
 def test_seeded_points_are_deterministic_and_valid():
@@ -69,7 +69,7 @@ def test_seeded_points_are_deterministic_and_valid():
 
 
 def test_report_shapes():
-    rep = run_suite("braid", "A2", "generic")
+    rep = run_suite("braid", "A2")
     data = rep.to_json_dict()
     assert data["passed"] is True
     assert data["checks"][0]["status"] == "pass"
@@ -169,3 +169,56 @@ def test_zaction_catches_a_corrupted_sigma_cell_on_e6():
     checks = _suite_zaction(rep)
     assert [c.name for c in checks] == [f"zaction_{i}" for i in rs.nodes]
     assert all(not c.ok and c.witness == "j=1 k=6" for c in checks)
+
+
+def _corrupt_cell(mat, rep, row, col):
+    cell = mat.cols.setdefault(col, {})
+    cell[row] = cell[row] + rep.unit() if row in cell else rep.unit()
+
+
+def test_inverse_check_reads_the_cached_sigma_inverse():
+    rep = CharacterSpecialization(build_lk("A3"), Fraction(5, 7), Fraction(3, 2))
+    rs = rep.rs
+    a1, a2 = rs.root_index[rs.alpha(1)], rs.root_index[rs.alpha(2)]
+    _corrupt_cell(rep.sigma_inv(1), rep, a1, a2)
+    checks = {c.name: c for c in _SUITE_FNS["essential"](rep)}
+    assert not checks["inverse_1"].ok
+    assert checks["inverse_1"].witness.startswith("cell x_")
+    assert checks["inverse_2"].ok and checks["inverse_3"].ok
+
+
+# every failing essential check, in suite order, with its witness, when one
+# cell of e_1 is corrupted on generic A3: sharing the products of the suite
+# must not move a single witness
+ESSENTIAL_WITH_BAD_E1 = [
+    ("r1_eg_1", "cell x_(1, 0, 0) <- x_(0, 1, 0): (l^-1 + -m)*1 != (2*l^-1)*1"),
+    ("inverse_1", "cell x_(1, 0, 0) <- x_(0, 1, 0): (-m*l^-1)*1 != None"),
+    ("wenzl_cross_1_2", "cell x_(1, 0, 0) <- x_(0, 1, 0): (2*l^-1 + -2*m)*1 != (2*l^-1)*1"),
+    ("iji_gge_a_1_2", "cell x_(1, 0, 0) <- x_(1, 1, 0): (l^-1 + m)*1 != (2*l^-1 + m)*1"),
+    ("iji_gge_b_1_2", "cell x_(1, 0, 0) <- x_(0, 0, 1): (1)*1 != (2)*1"),
+    ("iji_geg_a_1_2",
+     "cell x_(1, 0, 0) <- x_(0, 0, 1): (-m^2)*1 + (-m)*z2 != (-2*m^2)*1 + (-2*m)*z2"),
+    ("iji_geg_b_1_2", "cell x_(1, 1, 0) <- x_(0, 1, 0): (2*l^-1)*1 != (l^-1 + -m)*1"),
+    ("iji_eeg_a_1_2", "cell x_(0, 1, 0) <- x_(0, 1, 0): (2*l^-1)*1 != (l^-1 + -m)*1"),
+    ("iji_eeg_b_1_2", "cell x_(0, 1, 0) <- x_(0, 1, 0): (2*l^-1)*1 != (l^-1 + -m)*1"),
+    ("iji_gee_a_1_2", "cell x_(1, 1, 0) <- x_(0, 0, 1): (2)*1 != (1)*1"),
+    ("iji_gee_b_1_2", "cell x_(1, 1, 0) <- x_(0, 0, 1): (2)*1 != (1)*1"),
+    ("iji_eje_1_2", "cell x_(1, 0, 0) <- x_(0, 1, 0): (4)*1 != (2)*1"),
+    ("commute_eg_1_3", "cell x_(1, 0, 0) <- x_(0, 1, 0): (-m)*1 + (1)*z2 != (2)*z2"),
+    ("wenzl_cross_2_1", "cell x_(0, 1, 0) <- x_(0, 0, 1): (l^-1 + -m)*1 != (l^-1)*1"),
+    ("iji_gge_a_2_1", "cell x_(0, 1, 0) <- x_(0, 1, 0): (2)*1 != (1)*1"),
+    ("iji_geg_a_2_1", "cell x_(0, 1, 0) <- x_(0, 0, 1): (-m)*z2 != (m^2)*1 + (-m)*z2"),
+    ("iji_geg_b_2_1", "cell x_(1, 1, 0) <- x_(0, 1, 0): (l)*1 != (l^-1 + m + l)*1"),
+    ("iji_eeg_a_2_1", "cell x_(1, 0, 0) <- x_(0, 0, 1): (2)*z2 != (-m)*1 + (1)*z2"),
+    ("iji_eeg_b_2_1", "cell x_(1, 0, 0) <- x_(0, 0, 1): (2)*z2 != (-m)*1 + (1)*z2"),
+    ("iji_eje_2_1", "cell x_(0, 1, 0) <- x_(0, 0, 1): (2)*1 != (1)*1"),
+]
+
+
+def test_essential_witnesses_for_a_corrupted_e_cell_on_a3():
+    rep = LawrenceKrammer(build_type("A3"))
+    rs = rep.rs
+    _corrupt_cell(rep.e_matrix(1), rep, rs.root_index[rs.alpha(1)],
+                        rs.root_index[rs.alpha(2)])
+    bad = [(c.name, c.witness) for c in _SUITE_FNS["essential"](rep) if not c.ok]
+    assert bad == ESSENTIAL_WITH_BAD_E1
