@@ -9,19 +9,20 @@ algebra of the Lawrence-Krammer module, whose generators are written z_j).
 The basis is normalized so that T_s = z_s satisfies z^2 = 1 - m z, hence
 z^-1 = z + m, and products follow T_w T_s = T_{ws} when l(ws) > l(w) and
 T_{ws} - m T_w otherwise.  The left product by z_s^-1 = z_s + m gives
-T_{sw} when l(sw) < l(w) and T_{sw} + m T_w otherwise.  Length comparisons
-reduce to sign tests (on the stored image of alpha_s on the right, on
-(alpha_s, w(2 rho)) on the left), so no word minimization is ever needed
-during multiplication.  The parabolic W_C is never enumerated: only
-elements that actually arise are materialized, which keeps E7-sized
-coefficient algebras usable.
+T_{sw} when l(sw) < l(w) and T_{sw} + m T_w otherwise.  Basis elements are
+stored as root indices (see ``rootsys``), so descents are index and table
+tests: on the right, whether the index of w(alpha_s) is a negative root's;
+on the left, the sign of (alpha_s, w(2 rho)) read from s's pairing table.
+No word minimization is ever needed during multiplication.  The parabolic
+W_C is never enumerated: only elements that actually arise are
+materialized, which keeps E7-sized coefficient algebras usable.
 
 Elements are immutable; all operations return fresh values.
 """
 
 from __future__ import annotations
 
-from .rootsys import RootSystem, Weyl, _is_negative
+from .rootsys import RootSystem, Weyl
 from .scalar import Scalar
 
 _M = Scalar.m()
@@ -129,10 +130,11 @@ class HeckeElement:
     def mul_generator(self, j: int, inverse: bool = False) -> HeckeElement:
         """Right multiplication by z_j, or by z_j^-1 = z_j + m."""
         rs = self.rs
+        n_pos = rs.n_pos
         terms: dict[Weyl, Scalar] = {}
         for w, c in self.terms.items():
             _acc(terms, rs.right_mul_simple(w, j), c)
-            descent = _is_negative(w[j - 1])
+            descent = w[j - 1] >= n_pos
             if descent and not inverse:
                 _acc(terms, w, -(_M * c))
             elif inverse and not descent:
@@ -166,10 +168,11 @@ class HeckeElement:
             return NotImplemented
         self._check_parent(other)
         rs = self.rs
-        acc = HeckeElement(rs, self.parent)
+        terms: dict[Weyl, Scalar] = {}
         for w, c in other.terms.items():
-            acc = acc + self.mul_word(rs.reduced_word(w)).scale(c)
-        return acc
+            for v, d in self.mul_word(rs.reduced_word(w)).terms.items():
+                _acc(terms, v, d * c)
+        return HeckeElement(rs, self.parent, terms)
 
     # -- named operations ----------------------------------------------------------
 

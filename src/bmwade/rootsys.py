@@ -6,9 +6,13 @@ Conventions, fixed once and used everywhere downstream:
   1-2-...-n; D_n is the path 1-2-...-(n-2) with both n-1 and n attached to
   n-2; E_n is the chain 1-3-4-5-6(-7)(-8) with node 2 attached to node 4.
 * A root is a tuple of n integer coefficients over the simple roots.
-* A Weyl group element w is stored as the tuple of images w(alpha_1), ...,
-  w(alpha_n).  Elements compose like operators: ``compose(u, v)`` applies v
-  first.  A word [a, b, c] denotes r_a r_b r_c, with r_c acting first, and
+* The 2N roots are indexed once: positive roots at 0..N-1 in
+  ``positive_roots`` order, their negatives at N..2N-1.  A Weyl group
+  element w is stored as the tuple of the indices of w(alpha_1), ...,
+  w(alpha_n), so multiplying by a simple reflection and testing a descent
+  are lookups in tables bounded by the root system and built on first use.
+  Elements compose like operators: ``compose(u, v)`` applies v first.  A
+  word [a, b, c] denotes r_a r_b r_c, with r_c acting first, and
   ``word_element`` respects that order.
 * ``min_coset_word(beta, i)`` returns a reduced word for the unique shortest
   element w with w(alpha_i) = beta; for beta = alpha_j it is the geodesic
@@ -30,9 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import add
 
 Root = tuple  # tuple[int, ...] over the simple roots
-Weyl = tuple  # tuple[Root, ...] images of the simple roots
+Weyl = tuple  # tuple[int, ...] root indices of the images of the simple roots
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,11 @@ class RootSystem:
         self.c_nodes = tuple(
             j for j in self.nodes if self.pairing_simple(j, self.highest_root) == 0
         )
-        self.identity = self.simple_roots
+        self.n_pos = len(self.positive_roots)
+        self.roots = self.positive_roots + tuple(tuple(-c for c in b) for b in self.positive_roots)
+        self._index = {b: k for k, b in enumerate(self.roots)}
+        self.identity = tuple(self._index[a] for a in self.simple_roots)
+        self._sum_index: dict[tuple[int, int], int] = {}
         self._word_cache: dict[Weyl, tuple[int, ...]] = {}
 
     # -- construction --------------------------------------------------
@@ -185,34 +194,52 @@ class RootSystem:
 
     # -- Weyl group elements ----------------------------------------------
 
+    @lru_cache(maxsize=None)
+    def _perm(self, j: int) -> tuple[int, ...]:
+        """Index permutation of the 2N roots under r_j."""
+        return tuple(self._index[self.reflect(j, b)] for b in self.roots)
+
+    @lru_cache(maxsize=None)
+    def _pairings(self, j: int) -> tuple[int, ...]:
+        """(alpha_j, beta) for every root beta, by index."""
+        return tuple(self.pairing_simple(j, b) for b in self.roots)
+
     def simple_reflection(self, i: int) -> Weyl:
-        return tuple(self.reflect(i, a) for a in self.simple_roots)
+        perm = self._perm(i)
+        return tuple([perm[k] for k in self.identity])
 
     def act(self, w: Weyl, beta: Root) -> Root:
         acc = [0] * self.n
         for i, c in enumerate(beta):
             if c:
-                img = w[i]
+                img = self.roots[w[i]]
                 for k in range(self.n):
                     acc[k] += c * img[k]
         return tuple(acc)
 
     def compose(self, u: Weyl, v: Weyl) -> Weyl:
         """u after v (v acts first)."""
-        return tuple(self.act(u, img) for img in v)
+        return tuple(self._index[self.act(u, self.roots[k])] for k in v)
 
     def right_mul_simple(self, w: Weyl, j: int) -> Weyl:
-        """w r_j; touches only the images at j and its neighbors."""
+        """w r_j: negate image j; neighbor i's becomes the root w(alpha_i) + w(alpha_j)."""
         imgs = list(w)
-        img_j = w[j - 1]
-        imgs[j - 1] = tuple(-v for v in img_j)
+        a = w[j - 1]
+        n_pos = self.n_pos
+        imgs[j - 1] = a - n_pos if a >= n_pos else a + n_pos
+        sums = self._sum_index
         for i in self.neighbors[j]:
-            imgs[i - 1] = tuple(a + b for a, b in zip(w[i - 1], img_j))
+            key = (w[i - 1], a)
+            s = sums.get(key)
+            if s is None:
+                s = sums[key] = self._index[tuple(map(add, self.roots[key[0]], self.roots[a]))]
+            imgs[i - 1] = s
         return tuple(imgs)
 
     def left_mul_simple(self, j: int, w: Weyl) -> Weyl:
-        """r_j w; reflects every stored image."""
-        return tuple(self.reflect(j, img) for img in w)
+        """r_j w; permutes every stored image."""
+        perm = self._perm(j)
+        return tuple([perm[k] for k in w])
 
     def left_descent(self, j: int, w: Weyl) -> bool:
         """Whether l(r_j w) < l(w), that is, w^-1(alpha_j) < 0.
@@ -220,13 +247,14 @@ class RootSystem:
         The test is the sign of (alpha_j, w(2 rho)) = 2 ht(w^-1 alpha_j),
         with 2 rho the sum of the positive roots.
         """
-        return sum(c * self.pairing_simple(j, img) for c, img in zip(self.two_rho, w)) < 0
+        row = self._pairings(j)
+        return sum([c * row[k] for c, k in zip(self.two_rho, w)]) < 0
 
     def invert(self, w: Weyl) -> Weyl:
         return self.word_element(tuple(reversed(self.reduced_word(w))))
 
     def weyl_length(self, w: Weyl) -> int:
-        return sum(1 for b in self.positive_roots if _is_negative(self.act(w, b)))
+        return sum(1 for b in self.positive_roots if self._index[self.act(w, b)] >= self.n_pos)
 
     def reduced_word(self, w: Weyl) -> tuple[int, ...]:
         """Canonical reduced word via right descents, smallest node first."""
@@ -237,7 +265,7 @@ class RootSystem:
         cur = w
         while cur != self.identity:
             for i in self.nodes:
-                if _is_negative(cur[i - 1]):
+                if cur[i - 1] >= self.n_pos:
                     cur = self.right_mul_simple(cur, i)
                     letters.append(i)
                     break
@@ -325,10 +353,6 @@ class RootSystem:
         }
 
 
-def _is_negative(beta: Root) -> bool:
-    return all(c <= 0 for c in beta) and any(c < 0 for c in beta)
-
-
 @lru_cache(maxsize=None)
 def build_type(label: str) -> RootSystem:
     """Shared immutable root system for a type label such as ``D4``."""
@@ -366,8 +390,9 @@ def enumerate_parabolic(rs: RootSystem, nodes) -> list[Weyl]:
 
     Walks breadth-first from the identity: w r_i has length l(w) +- 1, so
     the products of one layer minus the layer before form the next length.
-    Intended for types whose parabolic is small enough to hold in memory;
-    nothing in the algebra layer calls this.
+    Within a length layer the order is by index tuple, which nothing
+    prints.  Intended for types whose parabolic is small enough to hold in
+    memory; nothing in the algebra layer calls this.
     """
     gens = sorted(nodes)
     out, prev, layer = [], set(), {rs.identity}

@@ -2,7 +2,7 @@
 
 Every defining and derived relation of the algebra is checked against the
 representation matrices, either exactly over the symbolic coefficient ring
-(generic mode, A1-A5, D4, D5 and E6) or exactly over the rationals at
+(generic mode, A1-A5, D4, D5, E6 and E7) or exactly over the rationals at
 a specialization point l = l0, r = r0 with the one-dimensional character
 z -> 1/r0 (specialized mode, all types including E8).  Each relation is
 stated once, whatever the ring: sigma and tau share one braid loop, and the
@@ -35,7 +35,7 @@ from .rootsys import build_type, enumerate_parabolic, parabolic_order, weyl_orde
 from .scalar import Scalar
 from .wordalg import reduce_word, rep_image_word
 
-GENERIC_TYPES = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6")
+GENERIC_TYPES = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7")
 SUITE_NAMES = ("braid", "essential", "eiproj", "table1", "zaction", "tau_monoid")
 DEFAULT_L0 = Fraction(5, 7)
 DEFAULT_R0 = Fraction(3, 2)

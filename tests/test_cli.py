@@ -46,8 +46,8 @@ def test_verify_specialized_braid_e6(capsys):
     assert code == 0
 
 
-def test_verify_generic_e7_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--type", "E7", "--suite", "braid")
+def test_verify_generic_e8_is_usage_error(capsys):
+    code, _, err = run(capsys, "verify", "--type", "E8", "--suite", "braid")
     assert code == 2
     assert "specialized" in err
 

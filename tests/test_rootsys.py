@@ -115,11 +115,18 @@ def test_length_of_inverse_exhaustive_a3():
 
 @pytest.mark.parametrize("label", ["A3", "A4", "D4"])
 def test_left_descent_is_a_length_drop(label):
+    # the index tables against the reference arithmetic on root tuples
     rs = build_type(label)
     for w in enumerate_parabolic(rs, rs.nodes):
         length = rs.weyl_length(w)
         for j in rs.nodes:
-            assert rs.left_descent(j, w) == (rs.weyl_length(rs.left_mul_simple(j, w)) < length)
+            rj = rs.simple_reflection(j)
+            left, right = rs.left_mul_simple(j, w), rs.right_mul_simple(w, j)
+            assert left == rs.compose(rj, w)
+            assert right == rs.compose(w, rj)
+            assert rs.left_descent(j, w) == (rs.weyl_length(left) < length)
+            # the right-descent test of HeckeElement.mul_generator
+            assert (w[j - 1] >= rs.n_pos) == (rs.weyl_length(right) < length)
 
 
 def test_min_coset_word_examples():

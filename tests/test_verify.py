@@ -33,16 +33,16 @@ def test_essential_d4_contains_nonadjacent_annihilation():
 
 def test_generic_mode_rejected_for_large_types():
     with pytest.raises(UnsupportedModeError):
-        run_suite("braid", "E7")
+        run_suite("braid", "E8")
     with pytest.raises(UnsupportedModeError):
         run_suite("nonsense", "A2")
 
 
-@pytest.mark.parametrize("suite", ["braid", "table1"])
-def test_generic_e6_suite_passes(suite):
-    # the only tier-1 check of the non-commuting Hecke factor order on an E type:
+@pytest.mark.parametrize("label, suite", [("E6", "braid"), ("E6", "table1"), ("E7", "table1")])
+def test_generic_e_suite_passes(label, suite):
+    # the only tier-1 checks of the non-commuting Hecke factor order on the E types:
     # the character route of the E suites cannot see it
-    report = run_suite(suite, "E6")
+    report = run_suite(suite, label)
     assert report.mode == "generic"
     assert report.checks and report.passed, [c for c in report.checks if not c.ok]
 
