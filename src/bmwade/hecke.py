@@ -26,11 +26,47 @@ from .rootsys import RootSystem, Weyl
 from .scalar import Scalar
 
 _M = Scalar.m()
+_NEG_M = -_M
 
 
 def _acc(terms: dict, w: Weyl, c: Scalar) -> None:
+    """Add the nonzero c into terms[w], dropping the key when the sum is zero."""
     s = terms.get(w)
-    terms[w] = c if s is None else s + c
+    if s is not None and not (c := s + c):
+        del terms[w]
+    else:
+        terms[w] = c
+
+
+def _right_mul(rs: RootSystem, terms: dict, word, inverse: bool = False) -> dict:
+    """Nonzero terms of (sum c T_w) times z_j, or z_j^-1, for each j of word."""
+    for j in word:
+        out: dict[Weyl, Scalar] = {}
+        for w, c in terms.items():
+            _acc(out, rs.right_mul_simple(w, j), c)
+            descent = w[j - 1] >= rs.n_pos
+            if descent != inverse:
+                _acc(out, w, c * (_NEG_M if descent else _M))
+        terms = out
+    return terms
+
+
+def walk_prefixes(items, start, step):
+    """Yield (payload, ``start`` stepped by ``step(image, letter)`` along word) for
+    (word, payload) items in word order.  Sorted words sharing a prefix are adjacent,
+    so keeping just the current chain of prefix images steps each prefix once."""
+    chain, prev = [start], ()
+    for word, payload in sorted(items, key=lambda item: item[0]):
+        keep = 0
+        for a, b in zip(prev, word):
+            if a != b:
+                break
+            keep += 1
+        del chain[keep + 1:]
+        for letter in word[keep:]:
+            chain.append(step(chain[-1], letter))
+        prev = word
+        yield payload, chain[-1]
 
 
 class ParabolicError(ValueError):
@@ -53,14 +89,11 @@ def in_parabolic(rs: RootSystem, w: Weyl, nodes: frozenset) -> bool:
 class HeckeElement:
     __slots__ = ("rs", "parent", "terms")
 
-    def __init__(self, rs: RootSystem, parent: frozenset, terms: dict | None = None):
-        self.rs = rs
-        self.parent = parent
-        self.terms: dict[Weyl, Scalar] = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[w] = c
+    def __init__(self, rs: RootSystem, parent: frozenset, terms: dict | None = None,
+                 nonzero: bool = False):
+        self.rs, self.parent = rs, parent
+        self.terms: dict[Weyl, Scalar] = (  # nonzero: the caller vouches for every c
+            terms if nonzero else {w: c for w, c in (terms or {}).items() if c})
 
     # -- constructors ---------------------------------------------------
 
@@ -110,9 +143,8 @@ class HeckeElement:
         self._check_parent(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w)
-            terms[w] = c if s is None else s + c
-        return HeckeElement(self.rs, self.parent, terms)
+            _acc(terms, w, c)
+        return HeckeElement(self.rs, self.parent, terms, nonzero=True)
 
     def __neg__(self) -> HeckeElement:
         return HeckeElement(self.rs, self.parent, {w: -c for w, c in self.terms.items()})
@@ -129,17 +161,8 @@ class HeckeElement:
 
     def mul_generator(self, j: int, inverse: bool = False) -> HeckeElement:
         """Right multiplication by z_j, or by z_j^-1 = z_j + m."""
-        rs = self.rs
-        n_pos = rs.n_pos
-        terms: dict[Weyl, Scalar] = {}
-        for w, c in self.terms.items():
-            _acc(terms, rs.right_mul_simple(w, j), c)
-            descent = w[j - 1] >= n_pos
-            if descent and not inverse:
-                _acc(terms, w, -(_M * c))
-            elif inverse and not descent:
-                _acc(terms, w, _M * c)
-        return HeckeElement(rs, self.parent, terms)
+        terms = _right_mul(self.rs, self.terms, (j,), inverse)
+        return HeckeElement(self.rs, self.parent, terms, nonzero=True)
 
     def left_mul_inverse(self, j: int) -> HeckeElement:
         """Left multiplication by z_j^-1 = z_j + m.
@@ -153,13 +176,11 @@ class HeckeElement:
             _acc(terms, rs.left_mul_simple(j, w), c)
             if not rs.left_descent(j, w):
                 _acc(terms, w, _M * c)
-        return HeckeElement(rs, self.parent, terms)
+        return HeckeElement(rs, self.parent, terms, nonzero=True)
 
     def mul_word(self, word) -> HeckeElement:
-        out = self
-        for j in word:
-            out = out.mul_generator(j)
-        return out
+        terms = _right_mul(self.rs, self.terms, word)
+        return HeckeElement(self.rs, self.parent, terms, nonzero=True)
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
@@ -169,10 +190,14 @@ class HeckeElement:
         self._check_parent(other)
         rs = self.rs
         terms: dict[Weyl, Scalar] = {}
-        for w, c in other.terms.items():
-            for v, d in self.mul_word(rs.reduced_word(w)).terms.items():
+        words = [(rs.reduced_word(w), c) for w, c in other.terms.items()]
+        # two words share too little to repay the walk's bookkeeping
+        prods = (walk_prefixes(words, self.terms, lambda t, j: _right_mul(rs, t, (j,)))
+                 if len(words) > 2 else [(c, _right_mul(rs, self.terms, w)) for w, c in words])
+        for c, prod in prods:
+            for v, d in prod.items():
                 _acc(terms, v, d * c)
-        return HeckeElement(rs, self.parent, terms)
+        return HeckeElement(rs, self.parent, terms, nonzero=True)
 
     # -- named operations ----------------------------------------------------------
 

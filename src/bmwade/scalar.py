@@ -67,7 +67,7 @@ def p_add(a: Poly, b: Poly) -> Poly:
 
 
 def p_neg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
+    return tuple([-c for c in a])
 
 
 def p_mul(a: Poly, b: Poly) -> Poly:
@@ -141,6 +141,34 @@ def _q_mul(a, b):
     if ad == P_ONE and bd == P_ONE:
         return p_mul(an, bn), P_ONE
     return _canon(p_mul(an, bn), p_mul(ad, bd))
+
+
+def _merge(terms: dict, e: int, rf) -> None:
+    """Add the nonzero coefficient rf into terms[e], dropping a zero sum."""
+    cur = terms.get(e)
+    s = rf if cur is None else _q_add(cur, rf)
+    if s[0]:
+        terms[e] = s
+    else:
+        del terms[e]
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Canonical terms of a product, by the general route."""
+    terms: dict[int, tuple[Poly, Poly]] = {}
+    for ea, ra in a.items():
+        for eb, rb in b.items():
+            _merge(terms, ea + eb, _q_mul(ra, rb))
+    return terms
+
+
+def _signed_monomial(terms: dict):
+    """(e, k, sign) when terms is the single term sign * l^e * m^k with k >= 0."""
+    if len(terms) == 1:
+        (e, (num, den)), = terms.items()
+        if den == P_ONE and num[-1] in (1, -1) and num.count(0) == len(num) - 1:
+            return e, len(num) - 1, num[-1]
+    return None
 
 
 def _make(terms: dict) -> Scalar:
@@ -221,6 +249,8 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
+        if all(e == 0 and len(num) == len(den) == 1 for e, (num, den) in self._terms.items()):
+            return hash(self.eval_at(1, 0))  # a rational constant hashes as its Fraction
         return hash(tuple(sorted(self._terms.items())))
 
     # -- ring operations ---------------------------------------------
@@ -232,15 +262,7 @@ class Scalar:
             return other
         terms = dict(self._terms)
         for e, rf in other._terms.items():
-            cur = terms.get(e)
-            if cur is None:
-                terms[e] = rf
-            else:
-                s = _q_add(cur, rf)
-                if s[0]:
-                    terms[e] = s
-                else:
-                    del terms[e]
+            _merge(terms, e, rf)
         return _make(terms)
 
     def __neg__(self) -> Scalar:
@@ -250,23 +272,27 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other: Scalar) -> Scalar:
-        if not self._terms or not other._terms:
+        a, b = self._terms, other._terms
+        if not a or not b:
             return _ZERO
-        terms: dict[int, tuple[Poly, Poly]] = {}
-        for ea, ra in self._terms.items():
-            for eb, rb in other._terms.items():
-                e = ea + eb
-                prod = _q_mul(ra, rb)
-                cur = terms.get(e)
-                if cur is None:
-                    terms[e] = prod
-                else:
-                    s = _q_add(cur, prod)
-                    if s[0]:
-                        terms[e] = s
-                    else:
-                        del terms[e]
-        return _make(terms)
+        unit = _signed_monomial(b)
+        if unit is not None:
+            return self._times_unit(*unit)
+        unit = _signed_monomial(a)
+        if unit is not None:
+            return other._times_unit(*unit)
+        return _make(_mul_terms(a, b))
+
+    def _times_unit(self, e: int, k: int, sign: int) -> Scalar:
+        """self * sign * l^e * m^k, k >= 0, without _canon: each den is c m^j,
+        so m^min(j, k) cancels against it and the rest of m^k joins num."""
+        if not e and not k and sign == 1:
+            return self
+        out = {}
+        for ex, (num, den) in self._terms.items():
+            t = min(k, len(den) - 1)
+            out[ex + e] = ((0,) * (k - t) + (p_neg(num) if sign < 0 else num), den[t:])
+        return _make(out)
 
     def __truediv__(self, other: Scalar) -> Scalar:
         """Division by a unit c*l^e*m^k; any other divisor raises."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 
-from .hecke import HeckeElement, eval_signed_word
+from .hecke import HeckeElement, walk_prefixes
 from .lkrep import LawrenceKrammer, SparseMatrix
 from .rootsys import RootSystem
 from .scalar import Scalar, x_value
@@ -229,28 +229,26 @@ def reduce_word(rs: RootSystem, word: BmwWord) -> dict:
 
 def rep_image_word(lk: LawrenceKrammer, word: BmwWord) -> tuple[HeckeElement, SparseMatrix]:
     """Image of a single word in the Hecke quotient and in the LK module."""
-    if any(kind == "e" for _, kind in word):
-        hecke = HeckeElement.zero(lk.rs, lk.full_set)
-    else:
-        signed = [(node, -1 if kind == "G" else 1) for node, kind in word]
-        hecke = eval_signed_word(lk.rs, lk.full_set, signed)
-    mat = lk.identity_matrix()
-    for node, kind in word:
-        if kind == "g":
-            mat = mat * lk.sigma(node)
-        elif kind == "G":
-            mat = mat * lk.sigma_inv(node)
-        else:
-            mat = mat * lk.e_matrix(node)
-    return hecke, mat
+    return rep_image(lk, {word: _ONE})
 
 
 def rep_image(lk: LawrenceKrammer, comb: dict) -> tuple[HeckeElement, SparseMatrix]:
-    """Linear extension of the image pair to a combination."""
-    hecke = HeckeElement.zero(lk.rs, lk.full_set)
-    mat = SparseMatrix(lk.size)
-    for word, coeff in comb.items():
-        h, mw = rep_image_word(lk, word)
-        hecke = hecke + h.scale(coeff)
-        mat = mat + mw.map_entries(lambda v: v.scale(coeff))
-    return hecke, mat
+    """Linear extension of the image pair to a combination: each distinct prefix
+    is multiplied once (``walk_prefixes``), and scaled images add into one dict."""
+    rs, full = lk.rs, lk.full_set
+
+    def step(image, letter):
+        (h, mat), (node, kind) = image, letter
+        h = HeckeElement.zero(rs, full) if kind == "e" else h.mul_generator(node, kind == "G")
+        right = {"g": lk.sigma, "G": lk.sigma_inv, "e": lk.e_matrix}[kind](node)
+        return h, right if mat is None else mat * right
+
+    hecke, cols = {}, {}
+    for coeff, (h, mat) in walk_prefixes(comb.items(), (HeckeElement.unit(rs, full), None), step):
+        for w, c in h.terms.items():
+            _combine(hecke, w, c * coeff)
+        for c, col in (lk.identity_matrix() if mat is None else mat).cols.items():
+            tgt = cols.setdefault(c, {})
+            for r, v in col.items():
+                _combine(tgt, r, v.scale(coeff))
+    return HeckeElement(rs, full, hecke), SparseMatrix(lk.size, cols)

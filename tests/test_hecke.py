@@ -188,3 +188,81 @@ def test_concurrent_t_coeff_fills_agree():
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results[1:])
+
+
+def rand_signed_word(rs, rng, length):
+    return [(rng.choice(rs.nodes), rng.choice((1, -1))) for _ in range(length)]
+
+
+@pytest.mark.parametrize("label", ["A3", "D4"])
+def test_product_of_words_is_word_of_concatenation(label):
+    rs = build_type(label)
+    P = full_parent(rs)
+    rng = random.Random(31)
+    for _ in range(30):
+        u = rand_signed_word(rs, rng, rng.randint(0, 6))
+        v = rand_signed_word(rs, rng, rng.randint(0, 6))
+        assert eval_signed_word(rs, P, u) * eval_signed_word(rs, P, v) == eval_signed_word(rs, P, u + v)
+
+
+def _mul_by_generators(a, b):
+    """a * b, each basis element of b applied to a as repeated mul_generator."""
+    rs = a.rs
+    acc = HeckeElement.zero(rs, a.parent)
+    for w, c in b.terms.items():
+        out = a
+        for j in rs.reduced_word(w):
+            out = out.mul_generator(j)
+        acc = acc + out.scale(c)
+    return acc
+
+
+@pytest.mark.parametrize("label", ["D4", "E6"])
+def test_t_coeff_products_with_generators(label):
+    lk = build_lk(label)
+    rs = lk.rs
+    C = lk.c_set
+    ts = [lk.t_coeff(i, beta) for beta in rs.positive_roots for i in rs.nodes]
+    ts = sorted((t for t in ts if len(t.terms) > 1), key=lambda t: len(t.terms))
+    ts = ts[:: max(1, len(ts) // 12)]
+    assert ts
+    for t in ts:
+        for j in rs.c_nodes:
+            z = HeckeElement.generator(rs, C, j)
+            assert t * z == t.mul_generator(j)
+            assert t * (z + HeckeElement.unit(rs, C).scale(M)) == t.mul_generator(j, inverse=True)
+            assert z * t == _mul_by_generators(z, t)
+    for a, b in zip(ts, ts[1:]):
+        assert a * b == _mul_by_generators(a, b)
+
+
+def test_mul_word_matches_repeated_mul_generator():
+    rs = build_type("D4")
+    P = full_parent(rs)
+    pool = enumerate_parabolic(rs, rs.nodes)
+    rng = random.Random(17)
+    for _ in range(30):
+        h = rand_element(rs, P, rng, pool)
+        word = [rng.choice(rs.nodes) for _ in range(rng.randint(0, 7))]
+        step = h
+        for j in word:
+            step = step.mul_generator(j)
+        assert h.mul_word(word) == step
+
+
+def test_walk_prefixes_steps_each_distinct_prefix_once():
+    from bmwade.hecke import walk_prefixes
+
+    steps = []
+
+    def step(image, letter):
+        steps.append(image + (letter,))
+        return image + (letter,)
+
+    words = [(1, 2, 3), (1, 3), (), (1, 2), (2,), (1, 2, 4), (1, 2, 3, 1)]
+    out = list(walk_prefixes([(w, i) for i, w in enumerate(words)], (), step))
+    # every word's image is the word itself, yielded in word order
+    assert [words[i] for i, _ in out] == sorted(words)
+    assert all(image == words[i] for i, image in out)
+    prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
+    assert sorted(steps) == sorted(prefixes)

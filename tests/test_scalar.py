@@ -234,3 +234,40 @@ def test_pow_is_repeated_multiplication():
     for bad in (-1, Fraction(1, 2), 2.0):
         with pytest.raises(ValueError):
             L ** bad
+
+
+def test_hash_agrees_with_eq_on_constants():
+    assert len({Scalar.one(), 1}) == 1
+    assert len({Scalar.zero(), 0}) == 1
+    assert len({Scalar.from_fraction(Fraction(-3, 4)), Fraction(-3, 4)}) == 1
+    assert len({Scalar.from_fraction(5), 5, Fraction(10, 2)}) == 1
+    assert {ONE: "one"}[1] == "one"
+    # equal values built by different routes hash alike
+    for a, b in ((L * LINV, ONE), ((L + M) * (L - M), L * L - M * M), (ONE / M * M, ONE)):
+        assert a == b and hash(a) == hash(b)
+
+
+def _units():
+    """The signed monomials +-l^e m^k (k >= 0) that take the fast path."""
+    return [Scalar.from_ratfunc((0,) * k + (sign,), lexp=e)
+            for e in (-2, -1, 0, 1) for k in (0, 1, 3) for sign in (1, -1)]
+
+
+def test_unit_fast_path_matches_general_route():
+    from bmwade.scalar import _make, _mul_terms, _signed_monomial
+
+    rng = random.Random(909)
+    others = [x_value(), L / M, -LINV / (M * M), ONE / M.scale(2), -x_value() * M,
+              Scalar.from_ratfunc((3, 0, -2), (0, 0, 5), lexp=2), Scalar.from_fraction(Fraction(-2, 3))]
+    others += [rand_scalar(rng) for _ in range(20)]
+    for s in others[:7]:
+        assert _signed_monomial(s._terms) is None, s
+    for u in _units():
+        assert _signed_monomial(u._terms) is not None, u
+        for s in others + _units():
+            if not s:
+                continue
+            general = _make(_mul_terms(u._terms, s._terms))
+            for prod in (u * s, s * u):
+                assert prod._terms == general._terms, (u, s)
+                assert Scalar(dict(prod.items()))._terms == prod._terms, (u, s)

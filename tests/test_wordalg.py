@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from bmwade.lkrep import build_lk
+from bmwade.hecke import HeckeElement, eval_signed_word
+from bmwade.lkrep import SparseMatrix, build_lk
 from bmwade.rootsys import build_type
 from bmwade.scalar import Scalar, x_value
 from bmwade.wordalg import (
@@ -110,3 +111,60 @@ def test_reduction_is_deterministic():
     rs = build_type("D4")
     word = parse_word(rs, "g1 e2 g3 G2 e4 g2 g1 e3")
     assert reduce_word(rs, word) == reduce_word(rs, word)
+
+
+def _reference_image(lk, comb):
+    """Each word multiplied left to right from the identity, then summed."""
+    rs, full = lk.rs, lk.full_set
+    letter = {"g": lk.sigma, "G": lk.sigma_inv, "e": lk.e_matrix}
+    hecke, mat = HeckeElement.zero(rs, full), SparseMatrix(lk.size)
+    for word, coeff in comb.items():
+        m = lk.identity_matrix()
+        for node, kind in word:
+            m = m * letter[kind](node)
+        if any(kind == "e" for _, kind in word):
+            h = HeckeElement.zero(rs, full)
+        else:
+            h = eval_signed_word(rs, full, [(node, -1 if kind == "G" else 1) for node, kind in word])
+        hecke = hecke + h.scale(coeff)
+        mat = mat + m.scale(coeff)
+    return hecke, mat
+
+
+@pytest.mark.parametrize("label", ["A3", "D4"])
+def test_rep_image_matches_reference(label):
+    lk = build_lk(label)
+    rs = lk.rs
+
+    def w(text):
+        return parse_word(rs, text)
+
+    comb = {
+        (): Scalar.from_fraction(3),
+        w("g1"): M,
+        w("g1 g2"): LINV,  # a prefix of the next two words
+        w("g1 g2 g3"): -M,
+        w("g1 g2 e3"): x_value(),
+        w("g1 e2 g3"): L,
+        w("G2 g1 G2"): Scalar.one(),
+        w("G2 g1"): -Scalar.one(),
+        w("e3 g2 e3"): M * M,
+        w("e1"): LINV * M,
+    }
+    for word in comb:
+        assert rep_image_word(lk, word) == _reference_image(lk, {word: Scalar.one()}), word
+    assert rep_image(lk, comb) == _reference_image(lk, comb)
+    # insertion order does not matter
+    rev = dict(reversed(list(comb.items())))
+    assert rep_image(lk, rev) == rep_image(lk, comb)
+    # random combinations whose words share prefixes
+    rng = random.Random(5)
+    letters = [(i, k) for i in rs.nodes for k in "gGe"]
+    for _ in range(6):
+        stems = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 3))) for _ in range(3)]
+        words = {s + tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+                 for s in stems for _ in range(3)}
+        rand = {word: Scalar.from_fraction(rng.randint(-3, 3)) * rng.choice((Scalar.one(), M, LINV))
+                for word in words}
+        rand = {word: c for word, c in rand.items() if c}
+        assert rep_image(lk, rand) == _reference_image(lk, rand)
