@@ -25,7 +25,7 @@ from pathlib import Path
 from .hecke import HeckeElement
 from .lkrep import CharacterSpecialization, build_lk
 from .rootsys import DynkinType, build_type
-from .scalar import P_VAR, Scalar
+from .scalar import Scalar
 from .verify import SUITE_NAMES, UnsupportedModeError, a2_dimension_check, dims_report, run_suite
 from .wordalg import parse_word, reduce_word, word_to_text
 
@@ -45,11 +45,15 @@ def _parse_type(label: str):
         raise UsageError(str(exc)) from exc
 
 
+def _is_ascii_number(text: str) -> bool:
+    return text.isascii() and text.isdecimal()
+
+
 def _parse_root(rs, text: str):
-    try:
-        coeffs = tuple(int(c) for c in text.replace(" ", "").split(","))
-    except ValueError as exc:
-        raise UsageError(f"cannot parse root {text!r}: expected comma-separated integers") from exc
+    parts = text.replace(" ", "").split(",")
+    if not all(_is_ascii_number(c) for c in parts):
+        raise UsageError(f"cannot parse root {text!r}: expected comma-separated integers")
+    coeffs = tuple(int(c) for c in parts)
     if len(coeffs) != rs.n:
         raise UsageError(f"root needs {rs.n} coefficients for {rs.dtype.label}")
     if not rs.is_positive_root(coeffs):
@@ -57,11 +61,22 @@ def _parse_root(rs, text: str):
     return coeffs
 
 
+def _parse_node(rs, text: str) -> int:
+    if not _is_ascii_number(text):
+        raise UsageError(f"cannot parse node {text!r}")
+    node = int(text)
+    if node not in rs.nodes:
+        raise UsageError(f"node {node} out of range")
+    return node
+
+
 def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse rational {text!r}") from exc
+    if text.isascii():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise UsageError(f"cannot parse rational {text!r}")
 
 
 def _cmd_roots(args) -> int:
@@ -100,9 +115,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_tcoeff(args) -> int:
     lk = build_lk(_parse_type(args.type).dtype.label)
     beta = _parse_root(lk.rs, args.root)
-    if args.node not in lk.rs.nodes:
-        raise UsageError(f"node {args.node} out of range")
-    t = lk.t_coeff(args.node, beta)
+    t = lk.t_coeff(_parse_node(lk.rs, args.node), beta)
     print(_dumps(t.to_json_dict()) if args.json else repr(t))
     return 0
 
@@ -110,10 +123,9 @@ def _cmd_tcoeff(args) -> int:
 def _cmd_hbeta(args) -> int:
     lk = build_lk(_parse_type(args.type).dtype.label)
     beta = _parse_root(lk.rs, args.root)
-    if args.node not in lk.rs.nodes:
-        raise UsageError(f"node {args.node} out of range")
+    node = _parse_node(lk.rs, args.node)
     try:
-        h = lk.h_node(beta, args.node)
+        h = lk.h_node(beta, node)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     print(_dumps({"node": h}) if args.json else f"z{h}")
@@ -141,7 +153,7 @@ def _cmd_matrices(args) -> int:
         }
     else:
         if args.r is None:
-            r = Scalar.from_ratfunc(P_VAR)
+            r = Scalar.m()
         else:
             r = Scalar.from_fraction(_parse_fraction(args.r))
         try:
@@ -235,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tcoeff", help="the coefficient T_{i,beta}")
     p.add_argument("--type", required=True)
-    p.add_argument("--node", type=int, required=True)
+    p.add_argument("--node", required=True)
     p.add_argument("--root", required=True, help="comma-separated coefficients")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_tcoeff)
@@ -243,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hbeta", help="the node with h_{beta,i} = z_j")
     p.add_argument("--type", required=True)
     p.add_argument("--root", required=True)
-    p.add_argument("--node", type=int, required=True)
+    p.add_argument("--node", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_hbeta)
 

@@ -57,7 +57,7 @@ class DynkinType:
     @staticmethod
     def parse(label: str) -> DynkinType:
         label = label.strip()
-        if len(label) < 2 or label[0].upper() not in "ADE" or not label[1:].isdecimal():
+        if len(label) < 2 or label[0].upper() not in "ADE" or not (label[1:].isascii() and label[1:].isdecimal()):
             raise ValueError(f"cannot parse Dynkin type {label!r}")
         return DynkinType(label[0].upper(), int(label[1:]))
 

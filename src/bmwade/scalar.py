@@ -10,165 +10,38 @@ directly; x is never stored but derived on demand from
 
 i.e. x = 1 - (l - l^-1)/m, see :func:`x_value`.
 
-Storage is fraction-free: each coefficient of a power of l is a pair (num,
-den) of polynomials in m with ``int`` coefficients, in canonical form:
+Storage is flat: ``_terms`` maps each monomial l^e m^k, keyed ``(e, k)``,
+to its coefficient c, an ``int``, or a ``Fraction`` when c is not an
+integer.  No value is zero, so the form is unique: two Scalars are equal as
+ring elements iff their dicts are equal, and ``==`` is both cheap and exact.
+A one-term operand of a product shifts keys; the general product is one
+double loop.  The units are the single terms c l^e m^k: dividing by one
+shifts the keys and divides by c, and dividing by anything else raises
+:class:`ScalarDomainError`.  Values are immutable and all operations are
+pure, which makes them safe to share between threads.
 
-* no term has a zero coefficient, and l-exponent keys are unique;
-* den is a monomial c m^k with c > 0, num and den share no factor m, and
-  their joint integer content is 1.
-
-The form is unique, so two Scalars are equal as ring elements iff their
-representations are equal, and ``==`` is both cheap and exact; normalizing
-costs an m-power strip and one integer gcd.  The units are the single terms
-c l^e m^k: dividing by anything else raises :class:`ScalarDomainError`, and
-so does any coefficient whose denominator is not a monomial.  Rational
-inputs (Fraction or int tuples) are cleared of denominators once, on entry;
-``items``, ``repr`` and ``to_json_dict`` present each coefficient Q-monic
-(num and den divided by the leading coefficient of den, as Fractions).
-Values are immutable and all operations are pure, which makes them safe to
-share between threads.
-
-Polynomials in m are plain tuples, ascending degree, with no trailing zeros;
-the empty tuple is zero.  The representation layer reuses the same machinery
-with the variable read as r (tied to m by m = r - r^-1, which is not a unit
-there); nothing here depends on the variable's name.
+``items``, ``repr`` and ``to_json_dict`` group the keys by l exponent and
+present each group Q-monic as num/den, polynomials in m with den = m^k
+(k the negated least m exponent, 0 when none is negative); the constructor
+reads that presentation back.  Polynomials in m are plain tuples, ascending
+degree.  The representation layer reuses the same ring with the variable
+read as r (tied to m by m = r - r^-1, which is not a unit there); nothing
+here depends on the variable's name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterator
-
-Poly = tuple  # tuple[int, ...], ascending degree, no trailing zeros
-
-P_ZERO: Poly = ()
-P_ONE: Poly = (1,)
-P_VAR: Poly = (0, 1)  # the coefficient variable itself (m, or r)
 
 
 class ScalarDomainError(ArithmeticError):
     """Division by a non-unit, a non-monomial denominator, or evaluation at a pole."""
 
 
-def _ptrim(cs: list) -> Poly:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def p_add(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _ptrim(out)
-
-
-def p_neg(a: Poly) -> Poly:
-    return tuple([-c for c in a])
-
-
-def p_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return P_ZERO
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _ptrim(out)
-
-
-def p_eval(a: Poly, v: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * v + c
-    return acc
-
-
-def _canon(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Canonical form of num/den: trimmed int tuples, den a nonzero c*m^k."""
-    if not num:
-        return P_ZERO, P_ONE
-    k = 0
-    while not num[k] and not den[k]:
-        k += 1
-    num, den = num[k:], den[k:]
-    lead = den[-1]
-    if lead != 1:
-        g = gcd(*num, *den)
-        if lead < 0:
-            g = -g
-        if g != 1:
-            num = tuple(c // g for c in num)
-            den = tuple(c // g for c in den)
-    return num, den
-
-
-def _is_monomial(p: Poly) -> bool:
-    """Whether the nonzero polynomial p is c*m^k."""
-    return p.count(0) == len(p) - 1
-
-
-def _from_q(num, den) -> tuple[Poly, Poly]:
-    """Canonical int pair of num/den given with rational (or int) coefficients."""
-    num, den = _ptrim(list(num)), _ptrim(list(den))
-    if not den:
-        raise ScalarDomainError("rational function with zero denominator")
-    if not _is_monomial(den):
-        raise ScalarDomainError(f"denominator {_poly_str(den)} is not a monomial c*m^k")
-    if not num:
-        return P_ZERO, P_ONE
-    mult = lcm(*(c.denominator for c in num + den))
-    return _canon(tuple((c * mult).numerator for c in num),
-                  tuple((c * mult).numerator for c in den))
-
-
-def _q_add(a, b):
-    an, ad = a
-    bn, bd = b
-    if ad == bd:
-        num = p_add(an, bn)
-        return (num, ad) if ad == P_ONE else _canon(num, ad)
-    return _canon(p_add(p_mul(an, bd), p_mul(bn, ad)), p_mul(ad, bd))
-
-
-def _q_mul(a, b):
-    an, ad = a
-    bn, bd = b
-    if ad == P_ONE and bd == P_ONE:
-        return p_mul(an, bn), P_ONE
-    return _canon(p_mul(an, bn), p_mul(ad, bd))
-
-
-def _merge(terms: dict, e: int, rf) -> None:
-    """Add the nonzero coefficient rf into terms[e], dropping a zero sum."""
-    cur = terms.get(e)
-    s = rf if cur is None else _q_add(cur, rf)
-    if s[0]:
-        terms[e] = s
-    else:
-        del terms[e]
-
-
-def _mul_terms(a: dict, b: dict) -> dict:
-    """Canonical terms of a product, by the general route."""
-    terms: dict[int, tuple[Poly, Poly]] = {}
-    for ea, ra in a.items():
-        for eb, rb in b.items():
-            _merge(terms, ea + eb, _q_mul(ra, rb))
-    return terms
-
-
-def _signed_monomial(terms: dict):
-    """(e, k, sign) when terms is the single term sign * l^e * m^k with k >= 0."""
-    if len(terms) == 1:
-        (e, (num, den)), = terms.items()
-        if den == P_ONE and num[-1] in (1, -1) and num.count(0) == len(num) - 1:
-            return e, len(num) - 1, num[-1]
-    return None
+def _exact(c):
+    """The nonzero rational c as an int when it is one, else as a Fraction."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 def _make(terms: dict) -> Scalar:
@@ -184,13 +57,20 @@ class Scalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        canon: dict[int, tuple[Poly, Poly]] = {}
-        if terms:
-            for e, (num, den) in terms.items():
-                rf = _from_q(num, den)
-                if rf[0]:
-                    canon[e] = rf
-        object.__setattr__(self, "_terms", canon)
+        """Read ``{lexp: (num, den)}``, num and den polynomials in m with
+        rational entries; den must be a nonzero monomial c*m^k."""
+        flat: dict[tuple[int, int], int | Fraction] = {}
+        for e, (num, den) in (terms or {}).items():
+            support = [(k, c) for k, c in enumerate(den) if c]
+            if not support:
+                raise ScalarDomainError("rational function with zero denominator")
+            if len(support) > 1:
+                raise ScalarDomainError(f"denominator {_poly_str(den)} is not a monomial c*m^k")
+            (k, c), = support
+            for j, a in enumerate(num):
+                if a:
+                    flat[(e, j - k)] = _exact(Fraction(a) / c)
+        object.__setattr__(self, "_terms", flat)
 
     def __setattr__(self, name, value):  # pragma: no cover - guards immutability
         raise AttributeError("Scalar is immutable")
@@ -211,33 +91,34 @@ class Scalar:
 
     @staticmethod
     def l(exp: int = 1) -> Scalar:
-        return _make({exp: (P_ONE, P_ONE)})
+        return _make({(exp, 0): 1})
 
     @staticmethod
     def from_fraction(q) -> Scalar:
         q = Fraction(q)
-        if not q:
-            return _ZERO
-        return _make({0: ((q.numerator,), (q.denominator,))})
-
-    @staticmethod
-    def from_ratfunc(num: Poly, den: Poly = P_ONE, lexp: int = 0) -> Scalar:
-        return Scalar({lexp: (num, den)})
+        return _make({(0, 0): _exact(q)}) if q else _ZERO
 
     # -- structure ---------------------------------------------------
 
-    def items(self) -> Iterator[tuple[int, tuple[Poly, Poly]]]:
-        """Sorted terms, each coefficient Q-monic with Fraction entries."""
-        for e, (num, den) in sorted(self._terms.items()):
-            lead = den[-1]
-            yield e, (tuple(Fraction(c, lead) for c in num),
-                      tuple(Fraction(c, lead) for c in den))
+    def items(self) -> Iterator[tuple[int, tuple[tuple, tuple]]]:
+        """Terms by ascending l exponent, each coefficient as (num, den) with
+        den = m^k monic, entries int or Fraction."""
+        groups: dict[int, dict[int, int | Fraction]] = {}
+        for (e, k), c in self._terms.items():
+            groups.setdefault(e, {})[k] = c
+        for e in sorted(groups):
+            coeffs = groups[e]
+            shift = max(0, -min(coeffs))
+            num = [0] * (max(coeffs) + shift + 1)
+            for k, c in coeffs.items():
+                num[k + shift] = c
+            yield e, (tuple(num), (0,) * shift + (1,))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def is_l_free(self) -> bool:
-        return all(e == 0 for e in self._terms)
+        return all(e == 0 for e, _ in self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
@@ -249,9 +130,9 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        if all(e == 0 and len(num) == len(den) == 1 for e, (num, den) in self._terms.items()):
-            return hash(self.eval_at(1, 0))  # a rational constant hashes as its Fraction
-        return hash(tuple(sorted(self._terms.items())))
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))  # a rational constant hashes as its value
+        return hash(frozenset(self._terms.items()))
 
     # -- ring operations ---------------------------------------------
 
@@ -261,47 +142,47 @@ class Scalar:
         if not self._terms:
             return other
         terms = dict(self._terms)
-        for e, rf in other._terms.items():
-            _merge(terms, e, rf)
+        for key, c in other._terms.items():
+            s = terms.get(key, 0) + c
+            if s:
+                terms[key] = _exact(s)
+            else:
+                del terms[key]
         return _make(terms)
 
     def __neg__(self) -> Scalar:
-        return _make({e: (p_neg(num), den) for e, (num, den) in self._terms.items()})
+        return _make({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: Scalar) -> Scalar:
         return self + (-other)
 
     def __mul__(self, other: Scalar) -> Scalar:
-        a, b = self._terms, other._terms
-        if not a or not b:
+        big, small = (self, other) if len(self._terms) >= len(other._terms) else (other, self)
+        a, b = big._terms, small._terms
+        if not b:
             return _ZERO
-        unit = _signed_monomial(b)
-        if unit is not None:
-            return self._times_unit(*unit)
-        unit = _signed_monomial(a)
-        if unit is not None:
-            return other._times_unit(*unit)
-        return _make(_mul_terms(a, b))
-
-    def _times_unit(self, e: int, k: int, sign: int) -> Scalar:
-        """self * sign * l^e * m^k, k >= 0, without _canon: each den is c m^j,
-        so m^min(j, k) cancels against it and the rest of m^k joins num."""
-        if not e and not k and sign == 1:
-            return self
-        out = {}
-        for ex, (num, den) in self._terms.items():
-            t = min(k, len(den) - 1)
-            out[ex + e] = ((0,) * (k - t) + (p_neg(num) if sign < 0 else num), den[t:])
-        return _make(out)
+        if len(b) == 1:
+            ((e, k), c), = b.items()
+            if c == 1:
+                if not e and not k:
+                    return big
+                return _make({(x + e, y + k): v for (x, y), v in a.items()})
+            return _make({(x + e, y + k): _exact(v * c) for (x, y), v in a.items()})
+        terms: dict[tuple[int, int], int | Fraction] = {}
+        for (x, y), v in a.items():
+            for (e, k), c in b.items():
+                key = (x + e, y + k)
+                terms[key] = terms.get(key, 0) + v * c
+        return _make({key: _exact(c) for key, c in terms.items() if c})
 
     def __truediv__(self, other: Scalar) -> Scalar:
         """Division by a unit c*l^e*m^k; any other divisor raises."""
         if not other._terms:
             raise ScalarDomainError("division by zero Scalar")
-        if len(other._terms) > 1 or not _is_monomial(next(iter(other._terms.values()))[0]):
+        if len(other._terms) > 1:
             raise ScalarDomainError(f"{other!r} is not a unit of Q[l^+-1, m^+-1]")
-        (e, (num, den)), = other._terms.items()
-        return self * _make({-e: _canon(den, num)})
+        ((e, k), c), = other._terms.items()
+        return self * _make({(-e, -k): _exact(1 / Fraction(c))})
 
     def __pow__(self, k: int) -> Scalar:
         """self ** k for an int k >= 0, by repeated squaring."""
@@ -327,13 +208,9 @@ class Scalar:
         m0 = Fraction(m0)
         if l0 == 0:
             raise ScalarDomainError("cannot evaluate at l = 0")
-        acc = Fraction(0)
-        for e, (num, den) in self._terms.items():
-            dv = p_eval(den, m0)
-            if dv == 0:
-                raise ScalarDomainError(f"denominator vanishes at m = {m0}")
-            acc += (p_eval(num, m0) / dv) * l0 ** e
-        return acc
+        if m0 == 0 and any(k < 0 for _, k in self._terms):
+            raise ScalarDomainError(f"denominator vanishes at m = {m0}")
+        return sum((c * l0 ** e * m0 ** k for (e, k), c in self._terms.items()), Fraction(0))
 
     # -- presentation --------------------------------------------------
 
@@ -343,7 +220,7 @@ class Scalar:
         parts = []
         for e, (num, den) in self.items():
             coeff = _poly_str(num)
-            if den != P_ONE:
+            if len(den) > 1:
                 coeff = f"({coeff})/({_poly_str(den)})"
             elif len([c for c in num if c]) > 1:
                 coeff = f"({coeff})"
@@ -368,13 +245,11 @@ class Scalar:
 
 
 _ZERO = Scalar()
-_ONE = Scalar({0: (P_ONE, P_ONE)})
-_M = Scalar({0: (P_VAR, P_ONE)})
+_ONE = _make({(0, 0): 1})
+_M = _make({(0, 1): 1})
 
 
-def _poly_str(p: Poly, var: str = "m") -> str:
-    if not p:
-        return "0"
+def _poly_str(p: tuple, var: str = "m") -> str:
     parts = []
     for i, c in enumerate(p):
         if not c:
@@ -394,4 +269,4 @@ def _poly_str(p: Poly, var: str = "m") -> str:
 
 def x_value() -> Scalar:
     """The derived parameter x = 1 - (l - l^-1)/m."""
-    return _make({0: (P_ONE, P_ONE), 1: ((-1,), P_VAR), -1: (P_ONE, P_VAR)})
+    return _make({(0, 0): 1, (1, -1): -1, (-1, -1): 1})

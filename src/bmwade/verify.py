@@ -2,13 +2,13 @@
 
 Every defining and derived relation of the algebra is checked against the
 representation matrices, either exactly over the symbolic coefficient ring
-(generic mode, A1-A5, D4, D5, E6 and E7) or exactly over the rationals at
-a specialization point l = l0, r = r0 with the one-dimensional character
-z -> 1/r0 (specialized mode, all types including E8).  Each relation is
-stated once, whatever the ring: sigma and tau share one braid loop, and the
-adjacent-node rows of the T table share one instance walker.  A failing
-check always carries a concrete witness: the indices involved and the first
-nonzero residual cell.
+(generic mode, every type of rank at most 8 except E8) or exactly over the
+rationals at a specialization point l = l0, r = r0 with the one-dimensional
+character z -> 1/r0 (specialized mode, all types including E8).  Each
+relation is stated once, whatever the ring: sigma and tau share one braid
+loop, and the adjacent-node rows of the T table share one instance walker.
+A failing check always carries a concrete witness: the indices involved and
+the first nonzero residual cell.
 
 The dimension report reproduces the closed-form counts: |Phi+|^2 |W_C| for
 the middle layer, the odd double factorial totals for type A with their
@@ -31,11 +31,10 @@ from .lkrep import (
     SparseMatrix,
     build_lk,
 )
-from .rootsys import build_type, enumerate_parabolic, parabolic_order, weyl_order
+from .rootsys import DynkinType, build_type, enumerate_parabolic, parabolic_order, weyl_order
 from .scalar import Scalar
 from .wordalg import reduce_word, rep_image_word
 
-GENERIC_TYPES = ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7")
 SUITE_NAMES = ("braid", "essential", "eiproj", "table1", "zaction", "tau_monoid")
 DEFAULT_L0 = Fraction(5, 7)
 DEFAULT_R0 = Fraction(3, 2)
@@ -371,10 +370,10 @@ def run_suite(suite: str, type_label: str, point=None) -> SuiteReport:
     if suite != "all" and suite not in SUITE_NAMES:
         raise UnsupportedModeError(f"unknown suite {suite!r}")
     if point is None:
-        if type_label not in GENERIC_TYPES:
+        dtype = DynkinType.parse(type_label)
+        if dtype.rank > 8 or dtype.label == "E8":
             raise UnsupportedModeError(
-                f"generic mode supports {', '.join(GENERIC_TYPES)}; "
-                f"use specialized mode for {type_label}")
+                f"generic mode covers rank <= 8 except E8; use specialized mode for {type_label}")
         rep = build_lk(type_label)
         mode_label = "generic"
     else:

@@ -56,7 +56,7 @@ def parse_word(rs: RootSystem, text: str) -> BmwWord:
     for token in text.split():
         pos = text.index(token, pos)
         kind = token[0]
-        if kind not in "gGe" or not token[1:].isdecimal():
+        if kind not in "gGe" or not (token[1:].isascii() and token[1:].isdecimal()):
             raise WordParseError(f"bad token {token!r} at position {pos}")
         node = int(token[1:])
         if node not in rs.nodes:

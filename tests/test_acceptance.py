@@ -80,7 +80,7 @@ def test_criterion_2_dimension_formulas():
 
 def test_criterion_3_generic_relation_suites():
     sw = _Stopwatch(3, 30.0)
-    for label in ("A2", "A3", "A4", "A5", "D4", "D5", "E6"):
+    for label in ("A2", "A3", "A4", "A5", "A8", "D4", "D5", "D6", "E6"):
         report = run_suite("all", label)
         bad = [c for c in report.checks if not c.ok]
         assert not bad, (label, bad)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -232,9 +233,43 @@ def test_closed_stdout_exits_141_without_a_message():
 @pytest.mark.parametrize("argv, message", [
     (("roots", "--type", "A³"), "cannot parse Dynkin type 'A³'"),
     (("reduce", "--type", "A2", "--word", "g²"), "bad token 'g²' at position 0"),
+    # full-width digits, which str.isdecimal, int and Fraction all accept
+    (("roots", "--type", "A３"), "cannot parse Dynkin type 'A３'"),
+    (("reduce", "--type", "A3", "--word", "g１ g2"), "bad token 'g１' at position 0"),
+    (("tcoeff", "--type", "A3", "--node", "1", "--root", "1,１,0"),
+     "cannot parse root '1,１,0': expected comma-separated integers"),
+    (("tcoeff", "--type", "A3", "--node", "１", "--root", "1,1,0"), "cannot parse node '１'"),
+    (("hbeta", "--type", "A3", "--root", "1,1,0", "--node", "２"), "cannot parse node '２'"),
+    (("verify", "--type", "A2", "--suite", "braid", "--specialize", "l=５/7,r=3/2"),
+     "cannot parse rational '５/7'"),
+    (("matrices", "--type", "A2", "--theta", "lk", "--r", "３/2"), "cannot parse rational '３/2'"),
 ])
 def test_non_ascii_digits_are_usage_errors(capsys, argv, message):
     # str.isdigit accepts superscripts that int() then rejects
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.splitlines()[0] == f"error: {message}"
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
+
+
+# sha256 of stdout, recorded before Scalar moved to flat (l_exp, m_exp) keys:
+# every coefficient the CLI prints must keep its bytes
+OUTPUT_DIGESTS = [
+    (("matrices", "--type", "D4"),
+     "d5414b5a3a7ae53ccf382ca39058584b2e650a537ebff0d9420a5d662edef33e"),
+    (("matrices", "--type", "A3", "--theta", "lk"),
+     "22cb12f8ce41f7d86e9b4b648ed926cd73bb161d2b42f6fe883bb6024e818ca0"),
+    (("matrices", "--type", "D4", "--theta", "lk", "--r", "3/2"),
+     "204a38fe204cfcbd365ff1ba43323f451424965753073794e82cfe9f634b3bb9"),
+    (("tcoeff", "--type", "E6", "--node", "4", "--root", "1,2,2,3,2,1", "--json"),
+     "ec1923902153d0d27550c13a6148d252a421671324e1f16bb403efaf74bca257"),
+    (("reduce", "--type", "D4", "--word", "e1 e1 g2 e3 e3 G1 e4 g2", "--json"),
+     "3c0e3d0169f2987af28a40c6b26d20f6e853a2d04f037b4f0e5aa0cf6c35fde7"),
+]
+
+
+def test_output_bytes_are_pinned(capsys):
+    for argv, digest in OUTPUT_DIGESTS:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

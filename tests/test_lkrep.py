@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from bmwade.lkrep import CharacterSpecialization, SparseMatrix, build_lk
-from bmwade.scalar import P_VAR, Scalar, ScalarDomainError, x_value
+from bmwade.scalar import Scalar, ScalarDomainError, x_value
 
 M = Scalar.m()
 L = Scalar.l(1)
@@ -108,7 +108,7 @@ def test_f_matrix_values_on_d4():
 def _character(lk, r=None):
     """The character ring with l symbolic and r symbolic, or r = r0."""
     return CharacterSpecialization(
-        lk, L, Scalar.from_ratfunc(P_VAR) if r is None else Scalar.from_fraction(r))
+        lk, L, Scalar.m() if r is None else Scalar.from_fraction(r))
 
 
 def test_gamma_theta_dimensions():

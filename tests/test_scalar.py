@@ -3,13 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bmwade.scalar import (
-    P_ONE,
-    P_VAR,
-    Scalar,
-    ScalarDomainError,
-    x_value,
-)
+from bmwade.scalar import Scalar, ScalarDomainError, x_value
 
 L = Scalar.l(1)
 LINV = Scalar.l(-1)
@@ -26,17 +20,14 @@ def rand_scalar(rng, allow_den=True):
         if allow_den and rng.random() < 0.4:
             den = (Fraction(0),) * rng.randint(0, 2) + (Fraction(rng.choice((-3, -2, -1, 1, 2, 3))),)
         else:
-            den = P_ONE
+            den = (1,)
         terms[lexp] = (num, den)
     return Scalar(terms)
 
 
 def is_unit(a):
     """Whether a is a single term c*l^e*m^k."""
-    if len(a._terms) != 1:
-        return False
-    (num, _), = a._terms.values()
-    return sum(1 for c in num if c) == 1
+    return len(a._terms) == 1
 
 
 def test_unit_times_inverse():
@@ -47,7 +38,7 @@ def test_forced_denominator_representation():
     d = (L - LINV) / M
     ((e_lo, (num_lo, den_lo)), (e_hi, (num_hi, den_hi))) = tuple(d.items())
     assert (e_lo, e_hi) == (-1, 1)
-    assert den_lo == P_VAR and den_hi == P_VAR
+    assert den_lo == (0, 1) and den_hi == (0, 1)
     assert num_lo == (Fraction(-1),) and num_hi == (Fraction(1),)
 
 
@@ -117,7 +108,7 @@ def test_multiplicative_inverses_where_defined():
         k = rng.randint(-2, 2)
         num = (Fraction(0),) * max(k, 0) + (c,)
         den = (Fraction(0),) * max(-k, 0) + (Fraction(1),)
-        a = Scalar.from_ratfunc(num, den, lexp=rng.randint(-3, 3))
+        a = Scalar({rng.randint(-3, 3): (num, den)})
         assert a * (ONE / a) == ONE
 
 
@@ -146,15 +137,23 @@ def test_l_free_predicate():
     assert not x_value().is_l_free()
 
 
+def _is_canonical(s):
+    """Every stored coefficient is nonzero, an int when it is integral and a
+    Fraction only when it is not."""
+    return all(c and (type(c) is int or type(c) is Fraction and c.denominator != 1)
+               for c in s._terms.values())
+
+
 def test_stored_coefficients_are_ints():
     rng = random.Random(606)
     general = [
         ONE / M,
         ONE / M.scale(3) + ONE / (M * M),
-        Scalar.from_ratfunc((1,), (2,)),
-        Scalar.from_ratfunc((Fraction(1, 2), Fraction(3)), (Fraction(0), Fraction(0), Fraction(5, 3))),
-        ONE / Scalar.from_ratfunc((Fraction(0), Fraction(3, 2)), (Fraction(5, 3),)),
+        Scalar({0: ((1,), (2,))}),
+        Scalar({0: ((Fraction(1, 2), Fraction(3)), (Fraction(0), Fraction(0), Fraction(5, 3)))}),
+        ONE / Scalar({0: ((Fraction(0), Fraction(3, 2)), (Fraction(5, 3),))}),
         (L * L - ONE) / L.scale(2),
+        (ONE / M.scale(2)).scale(2),
     ]
     for _ in range(30):
         a, b = rand_scalar(rng), rand_scalar(rng)
@@ -162,19 +161,31 @@ def test_stored_coefficients_are_ints():
         if is_unit(b):
             general.append(a / b)
     for s in general:
-        assert all(type(c) is int for num, den in s._terms.values() for c in num + den), s
+        assert _is_canonical(s), s
+    # integer inputs stay int under +, -, * and division by +-l^e m^k
+    for _ in range(30):
+        a, b = rand_scalar(rng, allow_den=False), rand_scalar(rng, allow_den=False)
+        u = Scalar({rng.randint(-2, 2): ((0,) * rng.randint(0, 2) + (rng.choice((1, -1)),),
+                                         (0,) * rng.randint(0, 2) + (1,))})
+        for s in (a, a + b, a - b, a * b, -a, a / u, a * u):
+            assert all(type(c) is int for c in s._terms.values()), s
 
 
 def test_canonical_terms_agree_across_routes():
-    seventh = {0: ((1,), (7,))}
+    seventh = {(0, 0): Fraction(1, 7)}
     a = Scalar.from_fraction(Fraction(1, 7))
     assert a._terms == seventh
     assert (ONE / Scalar.from_fraction(7))._terms == seventh
     assert Scalar({0: ((Fraction(2, 7),), (Fraction(2),))})._terms == seventh
-    inv = {0: ((1,), (0, 2))}
+    inv = {(0, -1): Fraction(1, 2)}
     assert (ONE / M.scale(2))._terms == inv
-    assert Scalar.from_ratfunc((Fraction(-3),), (Fraction(0), Fraction(-6)))._terms == inv
-    assert Scalar.from_ratfunc((0, -1, 0, 1), (0, 1))._terms == (M * M - ONE)._terms == {0: ((-1, 0, 1), P_ONE)}
+    assert Scalar({0: ((Fraction(-3),), (Fraction(0), Fraction(-6)))})._terms == inv
+    poly = {(0, 0): -1, (0, 2): 1}
+    assert Scalar({0: ((0, -1, 0, 1), (0, 1))})._terms == (M * M - ONE)._terms == poly
+    halved = Scalar({0: ((Fraction(-2), 0, Fraction(2)), (2,))})
+    assert halved._terms == poly
+    for s in (a, ONE / M.scale(2), M * M - ONE, halved):
+        assert _is_canonical(s), s
 
 
 def test_non_monomial_denominator():
@@ -184,9 +195,9 @@ def test_non_monomial_denominator():
         with pytest.raises(ScalarDomainError):
             Scalar({0: (num, den)})
         with pytest.raises(ScalarDomainError):
-            Scalar.from_ratfunc(num, den, lexp=1)
+            Scalar({1: (num, den)})
         with pytest.raises(ScalarDomainError):
-            Scalar.from_ratfunc(num) / Scalar.from_ratfunc(den)
+            Scalar({0: (num, (1,))}) / Scalar({0: (den, (1,))})
     with pytest.raises(ScalarDomainError):
         Scalar({0: ((1,), ())})
 
@@ -201,9 +212,9 @@ def test_json_dict_literals():
         {"lexp": 0, "num": ["1"], "den": ["1"]},
         {"lexp": 1, "num": ["-1"], "den": ["0", "1"]},
     ]}
-    # presented Q-monic although stored as 1/(2m)
+    # presented Q-monic: the coefficient 1/2 of m^-1 over den = m
     half_inv = ONE / M.scale(2)
-    assert half_inv._terms == {0: ((1,), (0, 2))}
+    assert half_inv._terms == {(0, -1): Fraction(1, 2)}
     assert half_inv.to_json_dict() == {"terms": [
         {"lexp": 0, "num": ["1/2"], "den": ["0", "1"]},
     ]}
@@ -248,26 +259,37 @@ def test_hash_agrees_with_eq_on_constants():
 
 
 def _units():
-    """The signed monomials +-l^e m^k (k >= 0) that take the fast path."""
-    return [Scalar.from_ratfunc((0,) * k + (sign,), lexp=e)
-            for e in (-2, -1, 0, 1) for k in (0, 1, 3) for sign in (1, -1)]
+    """One-term operands c*l^e*m^k, which take the key-shift path."""
+    return [Scalar({e: ((0,) * max(k, 0) + (c,), (0,) * max(-k, 0) + (1,))})
+            for e in (-2, -1, 0, 1) for k in (-2, 0, 1, 3) for c in (1, -1, 3, Fraction(-2, 3))]
+
+
+def _general_product(a, b):
+    """The terms of a * b by the double loop over both operands."""
+    out = {}
+    for (x, y), v in a._terms.items():
+        for (e, k), c in b._terms.items():
+            out[(x + e, y + k)] = out.get((x + e, y + k), 0) + Fraction(v) * c
+    return {key: c for key, c in out.items() if c}
 
 
 def test_unit_fast_path_matches_general_route():
-    from bmwade.scalar import _make, _mul_terms, _signed_monomial
-
     rng = random.Random(909)
-    others = [x_value(), L / M, -LINV / (M * M), ONE / M.scale(2), -x_value() * M,
-              Scalar.from_ratfunc((3, 0, -2), (0, 0, 5), lexp=2), Scalar.from_fraction(Fraction(-2, 3))]
+    others = [x_value(), L + M, -LINV / (M * M) + ONE, ONE / M.scale(2) - L,
+              -x_value() * M, Scalar({2: ((3, 0, -2), (0, 0, 5))})]
     others += [rand_scalar(rng) for _ in range(20)]
-    for s in others[:7]:
-        assert _signed_monomial(s._terms) is None, s
+    for s in others[:6]:
+        assert len(s._terms) > 1, s
     for u in _units():
-        assert _signed_monomial(u._terms) is not None, u
+        assert len(u._terms) == 1, u
         for s in others + _units():
             if not s:
                 continue
-            general = _make(_mul_terms(u._terms, s._terms))
+            general = _general_product(u, s)
             for prod in (u * s, s * u):
-                assert prod._terms == general._terms, (u, s)
+                assert prod._terms == general, (u, s)
+                assert _is_canonical(prod), (u, s)
                 assert Scalar(dict(prod.items()))._terms == prod._terms, (u, s)
+    for s in others:
+        for t in others:
+            assert (s * t)._terms == _general_product(s, t), (s, t)

@@ -34,6 +34,8 @@ def test_essential_d4_contains_nonadjacent_annihilation():
 def test_generic_mode_rejected_for_large_types():
     with pytest.raises(UnsupportedModeError):
         run_suite("braid", "E8")
+    with pytest.raises(UnsupportedModeError, match="specialized mode for A9"):
+        run_suite("braid", "A9")
     with pytest.raises(UnsupportedModeError):
         run_suite("nonsense", "A2")
 
@@ -222,3 +224,36 @@ def test_essential_witnesses_for_a_corrupted_e_cell_on_a3():
                         rs.root_index[rs.alpha(2)])
     bad = [(c.name, c.witness) for c in _SUITE_FNS["essential"](rep) if not c.ok]
     assert bad == ESSENTIAL_WITH_BAD_E1
+
+
+# negative controls on generic A3: each check must see one corrupted cell of
+# the object it tests, so that it cannot pass by comparing a product with itself
+def test_braid_catches_a_corrupted_sigma_cell_on_a3():
+    rep = LawrenceKrammer(build_type("A3"))
+    rs = rep.rs
+    _corrupt_cell(rep.sigma(1), rep, rs.root_index[rs.alpha(1)], rs.root_index[rs.alpha(2)])
+    checks = {c.name: c for c in _SUITE_FNS["braid"](rep)}
+    assert not checks["braid_1_2"].ok
+    assert checks["braid_1_2"].witness.startswith("cell x_")
+
+
+def test_r2_catches_a_corrupted_sigma_cell_on_a3():
+    rep = LawrenceKrammer(build_type("A3"))
+    rs = rep.rs
+    for i in rs.nodes:
+        rep.e_matrix(i)
+        rep.sigma_inv(i)
+    _corrupt_cell(rep.sigma(2), rep, rs.root_index[rs.alpha(2)], rs.root_index[rs.alpha(1)])
+    checks = {c.name: c for c in _SUITE_FNS["essential"](rep)}
+    assert not checks["r2_1_2"].ok
+    assert checks["r2_1_2"].witness.startswith("cell x_")
+
+
+def test_table1_row6_catches_a_corrupted_t_coeff_on_a3():
+    rep = LawrenceKrammer(build_type("A3"))
+    rs = rep.rs
+    _SUITE_FNS["table1"](rep)
+    key = (1, rs.alpha(3))
+    rep._t_memo[key] = rep._t_memo[key] + rep.unit()
+    checks = {c.name: c for c in _SUITE_FNS["table1"](rep)}
+    assert not checks["t_row6_adjacent-1"].ok
