@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .hecke import HeckeElement, ParabolicError, eval_signed_word, in_parabolic
+from .hecke import HeckeElement, ParabolicError, _left_mul, _right_mul, eval_signed_word, in_parabolic
 from .rootsys import Root, RootSystem, build_type
 from .scalar import Scalar, x_value
 
@@ -337,7 +337,7 @@ class LawrenceKrammer(LKRepresentation):
         raw = _closed_form_eval(
             rs, i, rs.s_beta_word(beta), rs.d_beta_word(beta),
             rs.d_beta_word(rs.alpha(i)))
-        for w in raw:
+        for w in {w for w, _, _ in raw}:
             if not in_parabolic(rs, w, self.c_set):
                 raise ParabolicError(
                     f"T closed form for i={i}, beta={beta} left the C-parabolic "
@@ -423,13 +423,11 @@ def _closed_form_eval(rs: RootSystem, i: int, s_word, d_b_word, d_ai_word) -> di
     letters.  A left inverse letter z_j + m collapses T_w to T_{jw} whenever
     j is a left descent of w, which is where the cancellation lives.
     """
-    h = HeckeElement.generator(rs, frozenset(rs.nodes), i)
+    terms = HeckeElement.generator(rs, frozenset(rs.nodes), i).terms
     for a in s_word:
-        h = h.mul_generator(a).left_mul_inverse(a)
-    h = h.mul_word(d_b_word)
-    for a in d_ai_word:
-        h = h.left_mul_inverse(a)
-    return h.terms
+        terms = _left_mul(rs, _right_mul(rs, terms, (a,)), (a,), inverse=True)
+    terms = _right_mul(rs, terms, d_b_word)
+    return _left_mul(rs, terms, d_ai_word, inverse=True)
 
 
 @lru_cache(maxsize=None)

@@ -32,9 +32,9 @@ Root systems are immutable after construction and all queries are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
-from operator import add
+from operator import add, getitem
 
 Root = tuple  # tuple[int, ...] over the simple roots
 Weyl = tuple  # tuple[int, ...] root indices of the images of the simple roots
@@ -194,19 +194,19 @@ class RootSystem:
 
     # -- Weyl group elements ----------------------------------------------
 
-    @lru_cache(maxsize=None)
-    def _perm(self, j: int) -> tuple[int, ...]:
-        """Index permutation of the 2N roots under r_j."""
-        return tuple(self._index[self.reflect(j, b)] for b in self.roots)
-
-    @lru_cache(maxsize=None)
-    def _pairings(self, j: int) -> tuple[int, ...]:
-        """(alpha_j, beta) for every root beta, by index."""
-        return tuple(self.pairing_simple(j, b) for b in self.roots)
+    @cached_property
+    def _left_tables(self) -> dict:
+        """Per node j: the index permutation of the 2N roots under r_j, and per
+        position i the table k -> 2rho_i (alpha_j, root k)."""
+        tables = {}
+        for j in self.nodes:
+            row = [self.pairing_simple(j, b) for b in self.roots]
+            tables[j] = (tuple(self._index[self.reflect(j, b)] for b in self.roots),
+                         [[c * p for p in row] for c in self.two_rho])
+        return tables
 
     def simple_reflection(self, i: int) -> Weyl:
-        perm = self._perm(i)
-        return tuple([perm[k] for k in self.identity])
+        return self.left_mul_simple(i, self.identity)
 
     def act(self, w: Weyl, beta: Root) -> Root:
         acc = [0] * self.n
@@ -238,17 +238,16 @@ class RootSystem:
 
     def left_mul_simple(self, j: int, w: Weyl) -> Weyl:
         """r_j w; permutes every stored image."""
-        perm = self._perm(j)
+        perm = self._left_tables[j][0]
         return tuple([perm[k] for k in w])
 
     def left_descent(self, j: int, w: Weyl) -> bool:
         """Whether l(r_j w) < l(w), that is, w^-1(alpha_j) < 0.
 
         The test is the sign of (alpha_j, w(2 rho)) = 2 ht(w^-1 alpha_j),
-        with 2 rho the sum of the positive roots.
+        with 2 rho the sum of the positive roots, read from j's tables.
         """
-        row = self._pairings(j)
-        return sum([c * row[k] for c, k in zip(self.two_rho, w)]) < 0
+        return sum(map(getitem, self._left_tables[j][1], w)) < 0
 
     def invert(self, w: Weyl) -> Weyl:
         return self.word_element(tuple(reversed(self.reduced_word(w))))

@@ -487,12 +487,12 @@ def _a2_vector(lk: LawrenceKrammer, word, l0: Fraction, m0: Fraction) -> list[Fr
     rs = lk.rs
     hecke, mat = rep_image_word(lk, word)
     basis = enumerate_parabolic(rs, rs.nodes)
-    vec = [hecke.terms.get(w, Scalar.zero()).eval_at(l0, m0) for w in basis]
+    vec = [hecke.coeffs().get(w, Scalar.zero()).eval_at(l0, m0) for w in basis]
     ident = rs.identity
     for c in range(lk.size):
         for r in range(lk.size):
             entry = mat.entry(r, c)
-            s = Scalar.zero() if entry is None else entry.terms.get(ident, Scalar.zero())
+            s = Scalar.zero() if entry is None else entry.coeffs().get(ident, Scalar.zero())
             vec.append(s.eval_at(l0, m0))
     return vec
 

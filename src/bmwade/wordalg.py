@@ -243,12 +243,11 @@ def rep_image(lk: LawrenceKrammer, comb: dict) -> tuple[HeckeElement, SparseMatr
         right = {"g": lk.sigma, "G": lk.sigma_inv, "e": lk.e_matrix}[kind](node)
         return h, right if mat is None else mat * right
 
-    hecke, cols = {}, {}
+    hecke, cols = HeckeElement.zero(rs, full), {}
     for coeff, (h, mat) in walk_prefixes(comb.items(), (HeckeElement.unit(rs, full), None), step):
-        for w, c in h.terms.items():
-            _combine(hecke, w, c * coeff)
+        hecke = hecke + h.scale(coeff)
         for c, col in (lk.identity_matrix() if mat is None else mat).cols.items():
             tgt = cols.setdefault(c, {})
             for r, v in col.items():
                 _combine(tgt, r, v.scale(coeff))
-    return HeckeElement(rs, full, hecke), SparseMatrix(lk.size, cols)
+    return hecke, SparseMatrix(lk.size, cols)

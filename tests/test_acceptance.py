@@ -200,3 +200,11 @@ def test_criterion_9_structural_properties():
             f = lk.e_and_f(i)[1]
             assert all(set(col) <= {ai} for col in f.cols.values()), (label, i)
     sw.done()
+
+
+def test_criterion_10_generic_e7_braid():
+    sw = _Stopwatch(10, 30.0)
+    build_lk.cache_clear()  # time the sigma build as well as the products
+    report = run_suite("braid", "E7")
+    assert report.checks and report.passed, [c for c in report.checks if not c.ok]
+    sw.done()

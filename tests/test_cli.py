@@ -252,8 +252,9 @@ def test_non_ascii_digits_are_usage_errors(capsys, argv, message):
     assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
 
 
-# sha256 of stdout, recorded before Scalar moved to flat (l_exp, m_exp) keys:
-# every coefficient the CLI prints must keep its bytes
+# sha256 of stdout, recorded before Scalar moved to flat (l_exp, m_exp) keys
+# (the last two before Hecke elements did): every coefficient the CLI prints
+# must keep its bytes
 OUTPUT_DIGESTS = [
     (("matrices", "--type", "D4"),
      "d5414b5a3a7ae53ccf382ca39058584b2e650a537ebff0d9420a5d662edef33e"),
@@ -265,6 +266,10 @@ OUTPUT_DIGESTS = [
      "ec1923902153d0d27550c13a6148d252a421671324e1f16bb403efaf74bca257"),
     (("reduce", "--type", "D4", "--word", "e1 e1 g2 e3 e3 G1 e4 g2", "--json"),
      "3c0e3d0169f2987af28a40c6b26d20f6e853a2d04f037b4f0e5aa0cf6c35fde7"),
+    (("tcoeff", "--type", "E7", "--node", "4", "--root", "1,1,2,3,2,2,1", "--json"),
+     "2203ad507b96c50f5ad7937b1a08665ea1c76d8b06c2572811d2aa0a684a85ea"),
+    (("verify", "--type", "D5", "--suite", "all", "--json"),
+     "2a7cd885fd547dc6c6ef01a955688253f784b52ed92bcdac8ec6ea0f147333bc"),
 ]
 
 

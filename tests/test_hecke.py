@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from bmwade.hecke import HeckeElement, ParabolicError, eval_signed_word, in_parabolic
+from bmwade.hecke import HeckeElement, ParabolicError, _left_mul, eval_signed_word, in_parabolic
 from bmwade.lkrep import LawrenceKrammer, build_lk
 from bmwade.rootsys import build_type, enumerate_parabolic, parabolic_order
 from bmwade.scalar import Scalar
@@ -48,15 +49,14 @@ def test_basis_times_inverse_unit_only_at_identity():
 
 
 def rand_element(rs, parent, rng, pool):
-    terms = {}
+    out = HeckeElement.zero(rs, parent)
     for _ in range(rng.randint(1, 3)):
         w = rng.choice(pool)
         c = Scalar.from_fraction(rng.randint(-3, 3))
         if rng.random() < 0.5:
             c = c * M
-        if c:
-            terms[w] = c
-    return HeckeElement(rs, parent, terms)
+        out = out + HeckeElement.basis(rs, parent, w).scale(c)
+    return out
 
 
 def test_associativity_randomized_d4():
@@ -78,7 +78,13 @@ def test_left_mul_inverse_randomized_d4():
     for _ in range(40):
         h = rand_element(rs, P, rng, pool)
         j = rng.choice(rs.nodes)
-        assert h.left_mul_inverse(j) == eval_signed_word(rs, P, [(j, -1)]) * h
+        for sign in (1, -1):
+            # the left rule against z_j^sign T_w evaluated left to right, one w at a time
+            ref = HeckeElement.zero(rs, P)
+            for w, c in h.coeffs().items():
+                word = [(j, sign)] + [(a, 1) for a in rs.reduced_word(w)]
+                ref = ref + eval_signed_word(rs, P, word).scale(c)
+            assert HeckeElement(rs, P, _left_mul(rs, h.terms, (j,), sign < 0)) == ref
 
 
 def test_eval_signed_word_examples():
@@ -209,7 +215,7 @@ def _mul_by_generators(a, b):
     """a * b, each basis element of b applied to a as repeated mul_generator."""
     rs = a.rs
     acc = HeckeElement.zero(rs, a.parent)
-    for w, c in b.terms.items():
+    for w, c in b.coeffs().items():
         out = a
         for j in rs.reduced_word(w):
             out = out.mul_generator(j)
@@ -223,7 +229,7 @@ def test_t_coeff_products_with_generators(label):
     rs = lk.rs
     C = lk.c_set
     ts = [lk.t_coeff(i, beta) for beta in rs.positive_roots for i in rs.nodes]
-    ts = sorted((t for t in ts if len(t.terms) > 1), key=lambda t: len(t.terms))
+    ts = sorted((t for t in ts if len(t.coeffs()) > 1), key=lambda t: len(t.coeffs()))
     ts = ts[:: max(1, len(ts) // 12)]
     assert ts
     for t in ts:
@@ -234,6 +240,40 @@ def test_t_coeff_products_with_generators(label):
             assert z * t == _mul_by_generators(z, t)
     for a, b in zip(ts, ts[1:]):
         assert a * b == _mul_by_generators(a, b)
+
+
+def _laurent(rng):
+    """A random nonzero coefficient: two Laurent monomials, rationals not always integral."""
+    def mono(k):
+        q = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2)))
+        return Scalar.from_fraction(q) * Scalar.l(rng.randint(-1, 1)) * M ** k
+    k = rng.randint(0, 2)
+    return (mono(k) + mono(k + 1)) / M
+
+
+@pytest.mark.parametrize("label, parent", [("D4", full_parent), ("E6", c_parent)])
+def test_left_route_matches_right_words(label, parent):
+    # a left factor with fewer terms is walked along its reversed words: one
+    # and two basis elements directly, three or more through walk_prefixes
+    rs = build_type(label)
+    P = parent(rs)
+    pool = enumerate_parabolic(rs, P)
+    rng = random.Random(41)
+
+    def element(size):
+        out = HeckeElement.zero(rs, P)
+        for w in rng.sample(pool, size):
+            out = out + HeckeElement.basis(rs, P, w).scale(_laurent(rng))
+        return out
+
+    for size in (1, 2, 3, 5):
+        for _ in range(6):
+            a, b = element(size), element(12)
+            assert len(a.coeffs()) == size and len(a.terms) < len(b.terms)
+            ref = HeckeElement.zero(rs, P)
+            for v, c in b.coeffs().items():
+                ref = ref + a.mul_word(rs.reduced_word(v)).scale(c)
+            assert a * b == ref
 
 
 def test_mul_word_matches_repeated_mul_generator():

@@ -142,7 +142,7 @@ def _specialize(lk, mat, l0, r0):
 
     def value(helem):
         return sum((coeff.eval_at(l0, m0) * c0 ** len(lk.rs.reduced_word(w))
-                    for w, coeff in helem.terms.items()), Fraction(0))
+                    for w, coeff in helem.coeffs().items()), Fraction(0))
 
     return mat.map_entries(value)
 

@@ -257,3 +257,25 @@ def test_table1_row6_catches_a_corrupted_t_coeff_on_a3():
     rep._t_memo[key] = rep._t_memo[key] + rep.unit()
     checks = {c.name: c for c in _SUITE_FNS["table1"](rep)}
     assert not checks["t_row6_adjacent-1"].ok
+
+
+def test_eiproj_catches_a_corrupted_t_coeff_on_a3():
+    rep = LawrenceKrammer(build_type("A3"))
+    rs = rep.rs
+    rep.e_and_f(1)  # sigma_1 and f_1 are cached before the corruption
+    key = (1, (1, 1, 0))
+    rep._t_memo[key] = rep._t_memo[key] + rep.unit()
+    checks = {c.name: c for c in _SUITE_FNS["eiproj"](rep)}
+    assert not checks["eiproj_1"].ok
+    assert checks["eiproj_1"].witness.startswith("cell x_")
+    assert checks["eiproj_2"].ok and checks["eiproj_3"].ok
+
+
+def test_tau_braid_catches_a_corrupted_tau_cell_on_a3():
+    rep = LawrenceKrammer(build_type("A3"))
+    rs = rep.rs
+    _corrupt_cell(rep.tau(1), rep, rs.root_index[rs.alpha(1)], rs.root_index[rs.alpha(2)])
+    checks = {c.name: c for c in _SUITE_FNS["tau_monoid"](rep)}
+    assert not checks["tau_braid_1_2"].ok
+    assert checks["tau_braid_1_2"].witness.startswith("cell x_")
+    assert checks["tau_braid_2_3"].ok
