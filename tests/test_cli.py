@@ -270,6 +270,14 @@ OUTPUT_DIGESTS = [
      "2203ad507b96c50f5ad7937b1a08665ea1c76d8b06c2572811d2aa0a684a85ea"),
     (("verify", "--type", "D5", "--suite", "all", "--json"),
      "2a7cd885fd547dc6c6ef01a955688253f784b52ed92bcdac8ec6ea0f147333bc"),
+    (("dims", "--type", "E8", "--json"),
+     "f7f376772340dfac12a2c0376b69b8c6e2b0f42db4f703e943b89e84c6f0f9d9"),
+    (("dims", "--type", "D8", "--json"),
+     "385f80d5660ae865a68ab451483ec2a5198251f11a8054bc5a4b7e785645ac54"),
+    (("verify", "--type", "A4", "--suite", "table1", "--json"),
+     "cc15d7de737be2c6868a5a2c23774a9411f16f42c7fb09e9946f1fac63c767b2"),
+    (("verify", "--type", "E6", "--suite", "table1", "--specialize", "l=5/7,r=3/2", "--json"),
+     "911adea88a6baba12f3d2dc5f65899e1bc82d83d7d0312da7be2c72062a79dbd"),
 ]
 
 
