@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands mirror the library layers: ``roots`` (root system data),
-``reduce`` (word rewriting), ``tcoeff`` and ``hbeta`` (coefficient algebra),
+Subcommands mirror the library layers: ``roots`` and ``hbeta`` (root system
+data), ``reduce`` (word rewriting), ``tcoeff`` (coefficient algebra),
 ``matrices`` (representation matrices, optionally through the classical
 character), ``verify`` (relation suites) and ``dims`` (dimension formulas).
 
@@ -121,11 +121,11 @@ def _cmd_tcoeff(args) -> int:
 
 
 def _cmd_hbeta(args) -> int:
-    lk = build_lk(_parse_type(args.type).dtype.label)
-    beta = _parse_root(lk.rs, args.root)
-    node = _parse_node(lk.rs, args.node)
+    rs = _parse_type(args.type)
+    beta = _parse_root(rs, args.root)
+    node = _parse_node(rs, args.node)
     try:
-        h = lk.h_node(beta, node)
+        h = rs.h_node(beta, node)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     print(_dumps({"node": h}) if args.json else f"z{h}")

@@ -6,13 +6,15 @@ run over two coefficient rings: the C-parabolic Hecke algebra
 z -> 1/r (:class:`CharacterSpecialization`, exact rationals at a point, or
 Scalars in l and r).  The module computes, for a fixed ADE root system:
 
-* the node-valued map (beta, i) -> h in C with h_{beta,i} = z_h, by the
-  height-ascending recursion that pushes beta toward the highest root;
+* the elements h_{beta,i} = z_h, with the node h in C read from
+  ``RootSystem.h_node``, which the coefficient rings share;
 * the coefficient family T_{i,beta} in the C-parabolic Hecke algebra, by a
   memoized recursion over the equation table.  The recursion has five
   branches, keyed by (alpha_i, beta): zero off the support, explicit values
   at heights one and two, a closed form at pairing one, a commuting-node
-  step, and two adjacent-node steps.  The closed form is evaluated as a
+  step, and two adjacent-node steps.  ``steps`` yields every admissible
+  step; the recursion takes the first, and the choice-independence checks
+  of ``verify`` compare them all.  The closed form is evaluated as a
   signed Artin word in the full-type Hecke algebra and then projected onto
   the C-parabolic; a projection failure would falsify the theory (or a
   convention) and is a hard error, never silently repaired;
@@ -130,7 +132,6 @@ class LKRepresentation:
         self.rs = rs
         self.c_set = frozenset(rs.c_nodes)
         self.size = len(rs.positive_roots)
-        self._h_memo: dict[tuple[Root, int], int] = {}
         self._t_memo: dict[tuple[int, Root], object] = {}
         self._sigma: dict[int, SparseMatrix] = {}
         self._sigma_inv: dict[int, SparseMatrix] = {}
@@ -141,41 +142,8 @@ class LKRepresentation:
         """z_j^-1 = z_j + m."""
         return self.z(j) + self.unit() * self.m
 
-    # -- h_{beta,i} -------------------------------------------------------
-
-    def h_node(self, beta: Root, i: int) -> int:
-        """The unique j in C with h_{beta,i} = z_j; needs (alpha_i, beta) = 0."""
-        rs = self.rs
-        rs.require_root(beta)
-        if rs.pairing_simple(i, beta) != 0:
-            raise ValueError(f"h undefined: (alpha_{i}, {beta}) != 0")
-        key = (beta, i)
-        cached = self._h_memo.get(key)
-        if cached is not None:
-            return cached
-        stack = []
-        while beta != rs.highest_root:
-            k = (beta, i)
-            cached = self._h_memo.get(k)
-            if cached is not None:
-                break
-            stack.append(k)
-            j = next(t for t in rs.nodes if rs.pairing_simple(t, beta) == -1)
-            if j in rs.neighbors[i]:
-                beta = rs.add_simple(rs.add_simple(beta, j), i)
-                i = j
-            else:
-                beta = rs.add_simple(beta, j)
-        else:
-            cached = i
-            if i not in self.c_set:
-                raise AssertionError(f"h landed on node {i} outside C")
-        for k in stack:
-            self._h_memo[k] = cached
-        return cached
-
     def h_elem(self, beta: Root, i: int):
-        return self.z(self.h_node(beta, i))
+        return self.z(self.rs.h_node(beta, i))
 
     # -- T_{i,beta} ----------------------------------------------------------
 
@@ -196,23 +164,30 @@ class LKRepresentation:
             return self.unit()
         if rs.height(beta) == 2:
             return self.unit() * self.m
-        p = rs.pairing_simple(i, beta)
-        if p == 1:
+        if rs.pairing_simple(i, beta) == 1:
             return self.t_closed_form(i, beta)
+        for _, _, value in self.steps(i, beta):
+            return value
+        raise AssertionError(f"no admissible neighbor for T_({i},{beta})")
+
+    def steps(self, i: int, beta: Root):
+        """The equation-table steps for T_{i,beta} when (alpha_i, beta) is 0 or -1.
+
+        Yields (j, commuting, value) lazily for each node j with
+        (alpha_j, beta) = 1: the commuting nodes first (z_h^-1 T), then the
+        adjacent ones (the p = 0 sum, or T z_h + T m at p = -1).
+        """
+        rs, t = self.rs, self.t_coeff
         ones = [j for j in rs.nodes if rs.pairing_simple(j, beta) == 1]
         for j in ones:
             if j != i and j not in rs.neighbors[i]:
-                hinv = self.z_inv(self.h_node(rs.alpha(i), j))
-                return hinv * self.t_coeff(i, rs.sub_simple(beta, j))
+                yield j, True, self.z_inv(rs.h_node(rs.alpha(i), j)) * t(i, rs.sub_simple(beta, j))
+        p = rs.pairing_simple(i, beta)
         for j in ones:
             if j in rs.neighbors[i]:
                 gamma = rs.sub_simple(beta, j)
-                if p == 0:
-                    return self.t_coeff(j, rs.sub_simple(gamma, i)) + self.t_coeff(i, gamma) * self.m
-                if p == -1:
-                    zh = self.h_elem(gamma, i)
-                    return self.t_coeff(j, gamma) * zh + self.t_coeff(i, gamma) * self.m
-        raise AssertionError(f"no admissible neighbor for T_({i},{beta})")
+                first = t(j, rs.sub_simple(gamma, i)) if p == 0 else t(j, gamma) * self.h_elem(gamma, i)
+                yield j, False, first + t(i, gamma) * self.m
 
     # -- representation matrices ------------------------------------------------
 
@@ -374,7 +349,6 @@ class CharacterSpecialization(LKRepresentation):
         if not r:
             raise ValueError("r must be nonzero")
         super().__init__(lk.rs)
-        self._h_memo = lk._h_memo  # h is ring-free: share the generic memo
         self._one, self._zero = one, one - one
         self.l, self.r = l, r
         self.c0 = one / r

@@ -21,6 +21,11 @@ Conventions, fixed once and used everywhere downstream:
 * ``d_beta_word(beta)`` is a reduced word for the inverse of the shortest
   element carrying beta to the highest root; its letters are exactly the
   greedy height-increasing chain from beta up to the highest root.
+* ``h_node(beta, i)``, for (alpha_i, beta) = 0, is the node h in C with
+  h_{beta,i} = z_h: the recursion that pushes beta toward the highest root,
+  read from a table built on first use.
+* ``parabolic_order(rs, J)`` is |W_J| from the heights of the roots
+  supported on J (Macdonald, Math. Ann. 199, 1972).
 
 Ties are always broken toward the smallest node index, so every word
 produced here is deterministic; uniqueness of the underlying group elements
@@ -192,6 +197,34 @@ class RootSystem:
         self.require_root(beta)
         return self.tree_path(i, self.support(beta))[-1]
 
+    @cached_property
+    def _h_table(self) -> dict[tuple[Root, int], int]:
+        """h_{beta,i} for every (beta, i) with (alpha_i, beta) = 0, highest root first.
+
+        h(theta, i) = i.  Below theta, with j the first node of pairing -1,
+        (beta, i) takes the value of (beta + alpha_j + alpha_i, j) when j is
+        adjacent to i, and of (beta + alpha_j, i) when not; both are higher.
+        """
+        table = {}
+        for beta in reversed(self.positive_roots):
+            orthogonal = [i for i in self.nodes if self.pairing_simple(i, beta) == 0]
+            if beta == self.highest_root:
+                table.update(((beta, i), i) for i in orthogonal)
+                continue
+            j = next(t for t in self.nodes if self.pairing_simple(t, beta) == -1)
+            up = self.add_simple(beta, j)
+            for i in orthogonal:
+                adjacent = j in self.neighbors[i]
+                table[beta, i] = table[self.add_simple(up, i), j] if adjacent else table[up, i]
+        return table
+
+    def h_node(self, beta: Root, i: int) -> int:
+        """The node h in C with h_{beta,i} = z_h; needs (alpha_i, beta) = 0."""
+        self.require_root(beta)
+        if self.pairing_simple(i, beta) != 0:
+            raise ValueError(f"h undefined: (alpha_{i}, {beta}) != 0")
+        return self._h_table[beta, i]
+
     # -- Weyl group elements ----------------------------------------------
 
     @cached_property
@@ -358,32 +391,6 @@ def build_type(label: str) -> RootSystem:
     return RootSystem(DynkinType.parse(label))
 
 
-def component_type(rs: RootSystem, nodes: frozenset) -> tuple[str, int]:
-    """Classify a connected induced subdiagram as (family, rank)."""
-    nodes = set(nodes)
-    rank = len(nodes)
-    deg = {i: sum(1 for j in rs.neighbors[i] if j in nodes) for i in nodes}
-    branch = [i for i in nodes if deg[i] == 3]
-    if not branch:
-        return ("A", rank)
-    legs = []
-    for start in rs.neighbors[branch[0]]:
-        if start not in nodes:
-            continue
-        length, prev, cur = 1, branch[0], start
-        while True:
-            nxt = [j for j in rs.neighbors[cur] if j in nodes and j != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        legs.append(length)
-    legs.sort()
-    if legs[0] == 1 and legs[1] == 1:
-        return ("D", rank)
-    return ("E", rank)
-
-
 def enumerate_parabolic(rs: RootSystem, nodes) -> list[Weyl]:
     """All elements of the standard parabolic on ``nodes``, by (length, w).
 
@@ -410,18 +417,15 @@ def weyl_order(family: str, rank: int) -> int:
 
 
 def parabolic_order(rs: RootSystem, nodes) -> int:
-    """Order of the parabolic subgroup generated by the given nodes."""
-    remaining = set(nodes)
-    order = 1
-    while remaining:
-        comp = {remaining.pop()}
-        grew = True
-        while grew:
-            grew = False
-            for i in tuple(remaining):
-                if any(j in comp for j in rs.neighbors[i]):
-                    comp.add(i)
-                    remaining.discard(i)
-                    grew = True
-        order *= weyl_order(*component_type(rs, frozenset(comp)))
-    return order
+    """Order of the parabolic subgroup generated by the given nodes.
+
+    Macdonald's product over its positive roots, the roots supported on
+    ``nodes``: |W_J| = prod (ht beta + 1) / ht beta, exact in integers.
+    """
+    nodes = set(nodes)
+    num = den = 1
+    for beta in rs.positive_roots:
+        if nodes.issuperset(rs.support(beta)):
+            num *= sum(beta) + 1
+            den *= sum(beta)
+    return num // den

@@ -244,7 +244,7 @@ def _suite_table1(rep: LKRepresentation) -> list[CheckResult]:
                 for j in rs.nodes:
                     if j == i or j in rs.neighbors[i] or rs.pairing_simple(j, beta) != 1:
                         continue
-                    hinv = rep.z_inv(rep.h_node(rs.alpha(i), j))
+                    hinv = rep.z_inv(rs.h_node(rs.alpha(i), j))
                     yield (f"i={i} j={j} beta={beta}", t(i, beta),
                            hinv * t(i, rs.sub_simple(beta, j)))
 
@@ -272,7 +272,7 @@ def _suite_table1(rep: LKRepresentation) -> list[CheckResult]:
     run("t_row5_adjacent0", row5())
     run("t_row6_adjacent-1", row6())
     run("t_row7_pairing1", (
-        (label, t(i, beta), t(j, rs.sub_simple(beta, i)) * rep.z_inv(rep.h_node(beta, j)))
+        (label, t(i, beta), t(j, rs.sub_simple(beta, i)) * rep.z_inv(rs.h_node(beta, j)))
         for label, beta, i, j in adjacent(1, 0)
     ))
     run("t_both_orthogonal", (
@@ -297,36 +297,20 @@ def _suite_table1(rep: LKRepresentation) -> list[CheckResult]:
 
 
 def _suite_choice(rep: LKRepresentation) -> list[CheckResult]:
-    """Choice independence of the commuting-node and adjacent-node steps."""
-    rs, t, m = rep.rs, rep.t_coeff, rep.m
-    out = []
-    bad_iv = bad_v = None
+    """Choice independence: every commuting-node and adjacent-node step gives T."""
+    rs, bad = rep.rs, {True: None, False: None}
     for beta in rs.positive_roots:
         if rs.height(beta) < 3:
             continue
         for i in rs.support(beta):
-            p = rs.pairing_simple(i, beta)
-            if p not in (0, -1):
+            if rs.pairing_simple(i, beta) not in (0, -1):
                 continue
-            expected = t(i, beta)
-            for j in rs.nodes:
-                if rs.pairing_simple(j, beta) != 1:
-                    continue
-                if j != i and j not in rs.neighbors[i]:
-                    val = rep.z_inv(rep.h_node(rs.alpha(i), j)) * t(i, rs.sub_simple(beta, j))
-                    if val != expected and bad_iv is None:
-                        bad_iv = f"i={i} j={j} beta={beta}"
-                elif j in rs.neighbors[i]:
-                    gamma = rs.sub_simple(beta, j)
-                    if p == 0:
-                        val = t(j, rs.sub_simple(gamma, i)) + t(i, gamma) * m
-                    else:
-                        val = t(j, gamma) * rep.h_elem(gamma, i) + t(i, gamma) * m
-                    if val != expected and bad_v is None:
-                        bad_v = f"i={i} j={j} beta={beta}"
-    out.append(CheckResult("t_choice_commuting_step", bad_iv is None, bad_iv))
-    out.append(CheckResult("t_choice_adjacent_step", bad_v is None, bad_v))
-    return out
+            expected = rep.t_coeff(i, beta)
+            for j, commuting, value in rep.steps(i, beta):
+                if value != expected and bad[commuting] is None:
+                    bad[commuting] = f"i={i} j={j} beta={beta}"
+    return [CheckResult("t_choice_commuting_step", bad[True] is None, bad[True]),
+            CheckResult("t_choice_adjacent_step", bad[False] is None, bad[False])]
 
 
 def _suite_zaction(rep: LKRepresentation) -> list[CheckResult]:

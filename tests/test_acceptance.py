@@ -140,11 +140,11 @@ def test_criterion_6_oracle_agreement():
                     if j == i:
                         continue
                     if j not in rs.neighbors[i] and rs.pairing_simple(j, beta) == 1:
-                        hinv = lk.z(lk.h_node(rs.alpha(i), j)) + unit.scale(m)
+                        hinv = lk.z(lk.rs.h_node(rs.alpha(i), j)) + unit.scale(m)
                         assert closed == hinv * lk.t_coeff(i, rs.sub_simple(beta, j)), \
                             (label, i, j, beta)
                     if j in rs.neighbors[i] and rs.pairing_simple(j, beta) == 0:
-                        hinv = lk.z(lk.h_node(beta, j)) + unit.scale(m)
+                        hinv = lk.z(lk.rs.h_node(beta, j)) + unit.scale(m)
                         assert closed == lk.t_coeff(j, rs.sub_simple(beta, i)) * hinv, \
                             (label, i, j, beta)
         report = run_suite("table1", label)

@@ -14,9 +14,9 @@ def test_h_examples():
     lk = build_lk("D4")
     rs = lk.rs
     for i in rs.c_nodes:
-        assert lk.h_node(rs.highest_root, i) == i
+        assert lk.rs.h_node(rs.highest_root, i) == i
     with pytest.raises(ValueError):
-        lk.h_node(rs.alpha(1), 2)  # pairing is -1, not 0
+        lk.rs.h_node(rs.alpha(1), 2)  # pairing is -1, not 0
 
 
 def test_h_invariance_under_orthogonal_step():
@@ -30,10 +30,10 @@ def test_h_invariance_under_orthogonal_step():
                 if j in rs.neighbors[i] or j == i:
                     continue
                 if rs.pairing_simple(j, beta) == -1:
-                    assert lk.h_node(rs.add_simple(beta, j), i) == lk.h_node(beta, i)
+                    assert lk.rs.h_node(rs.add_simple(beta, j), i) == lk.rs.h_node(beta, i)
 
 
-@pytest.mark.parametrize("label", ["A3", "A4", "D4"])
+@pytest.mark.parametrize("label", ["A3", "A4", "D4", "D5", "E6"])
 def test_h_matches_full_type_oracle(label):
     lk = build_lk(label)
     rs = lk.rs
@@ -58,7 +58,7 @@ def test_t_coeff_a3_highest_root_satisfies_rows():
     beta = (1, 1, 1)
     # (alpha_1, beta) = 1 and node 3 commutes with 1: row 4 must hold
     lhs = lk.t_coeff(1, beta)
-    hinv = lk.z(lk.h_node(rs.alpha(1), 3)) + lk.unit().scale(M)
+    hinv = lk.z(lk.rs.h_node(rs.alpha(1), 3)) + lk.unit().scale(M)
     assert lhs == hinv * lk.t_coeff(1, (1, 1, 0))
     assert lhs.is_l_free()
 
@@ -201,14 +201,14 @@ def test_table_rows_spot_sampled_on_e6():
                     continue
                 gamma = rs.sub_simple(beta, j)
                 if j not in rs.neighbors[i]:
-                    hinv = lk.z(lk.h_node(rs.alpha(i), j)) + unit.scale(M)
+                    hinv = lk.z(lk.rs.h_node(rs.alpha(i), j)) + unit.scale(M)
                     assert lk.t_coeff(i, beta) == hinv * lk.t_coeff(i, gamma)
                 elif p == 0:
                     assert lk.t_coeff(i, beta) == \
                         lk.t_coeff(j, rs.sub_simple(gamma, i)) + lk.t_coeff(i, gamma).scale(M)
                 elif p == -1:
                     assert lk.t_coeff(i, beta) == \
-                        lk.t_coeff(j, gamma) * lk.z(lk.h_node(gamma, i)) \
+                        lk.t_coeff(j, gamma) * lk.z(lk.rs.h_node(gamma, i)) \
                         + lk.t_coeff(i, gamma).scale(M)
 
 

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 
 from bmwade.rootsys import (
     DynkinType,
+    RootSystem,
     build_type,
     enumerate_parabolic,
     parabolic_order,
@@ -243,3 +246,33 @@ def test_component_classification_via_parabolic_order():
     # a path of four nodes is A4
     assert parabolic_order(rs, (2, 4, 5, 6)) == 120
     assert parabolic_order(rs, ()) == 1
+
+
+@pytest.mark.parametrize("label", ["A4", "D4", "D5", "E6"])
+def test_parabolic_order_counts_the_enumerated_parabolic(label):
+    # Macdonald's height product against a breadth-first walk of the group,
+    # on every node subset (every proper one on E6)
+    rs = build_type(label)
+    top = rs.n - 1 if label == "E6" else rs.n
+    for k in range(top + 1):
+        for nodes in combinations(rs.nodes, k):
+            assert parabolic_order(rs, nodes) == len(enumerate_parabolic(rs, nodes)), nodes
+
+
+H_TYPES = [f"A{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("label", H_TYPES)
+def test_h_node_lands_in_c(label):
+    rs = RootSystem(DynkinType.parse(label))
+    assert "_h_table" not in vars(rs)  # built on first use, never with the root system
+    for beta in rs.positive_roots:
+        for i in rs.nodes:
+            if rs.pairing_simple(i, beta) == 0:
+                assert rs.h_node(beta, i) in rs.c_nodes, (beta, i)
+    for i in rs.c_nodes:
+        assert rs.h_node(rs.highest_root, i) == i
+    with pytest.raises(ValueError, match="h undefined"):
+        rs.h_node(rs.alpha(1), 1)
+    with pytest.raises(ValueError, match="not a positive root"):
+        rs.h_node(tuple(-c for c in rs.alpha(1)), 2)

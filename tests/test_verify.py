@@ -279,3 +279,41 @@ def test_tau_braid_catches_a_corrupted_tau_cell_on_a3():
     assert not checks["tau_braid_1_2"].ok
     assert checks["tau_braid_1_2"].witness.startswith("cell x_")
     assert checks["tau_braid_2_3"].ok
+
+
+# negative controls for the T table on generic A4 and D4: one corrupted T memo
+# entry after a first table1 run, and every table-1 check that fails, in suite
+# order, with its witness
+T_MEMO_CONTROLS = [
+    ("A4", (2, (1, 1, 1, 1)), [
+        ("t_row4_commuting", "i=2 j=4 beta=(1, 1, 1, 1)"),
+        ("t_row5_adjacent0", "i=2 j=1 beta=(1, 1, 1, 1)"),
+        ("t_both_orthogonal", "i=2 j=3 beta=(1, 1, 1, 1)"),
+        ("t_choice_commuting_step", "i=2 j=4 beta=(1, 1, 1, 1)"),
+        ("t_choice_adjacent_step", "i=2 j=1 beta=(1, 1, 1, 1)"),
+    ]),
+    # every node with pairing one is adjacent to the branch node: no commuting step
+    ("D4", (2, (0, 1, 1, 1)), [
+        ("t_row5_adjacent0", "i=2 j=3 beta=(0, 1, 1, 1)"),
+        ("t_row6_adjacent-1", "i=2 j=1 beta=(1, 1, 1, 1)"),
+        ("t_choice_adjacent_step", "i=2 j=3 beta=(0, 1, 1, 1)"),
+    ]),
+    # (alpha_2, beta) = 1: the closed-form entry that row 7 reads
+    ("A4", (2, (0, 1, 1, 1)), [
+        ("t_row4_commuting", "i=2 j=4 beta=(0, 1, 1, 1)"),
+        ("t_row5_adjacent0", "i=2 j=1 beta=(1, 1, 1, 1)"),
+        ("t_row7_pairing1", "i=2 j=3 beta=(0, 1, 1, 1)"),
+        ("t_choice_adjacent_step", "i=2 j=1 beta=(1, 1, 1, 1)"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("label, key, failing", T_MEMO_CONTROLS,
+                         ids=[f"{label}-{key[0]}-{''.join(map(str, key[1]))}"
+                              for label, key, _ in T_MEMO_CONTROLS])
+def test_table1_catches_a_corrupted_t_memo_entry(label, key, failing):
+    rep = LawrenceKrammer(build_type(label))
+    _SUITE_FNS["table1"](rep)
+    rep._t_memo[key] = rep._t_memo[key] + rep.unit()
+    bad = [(c.name, c.witness) for c in _SUITE_FNS["table1"](rep) if not c.ok]
+    assert bad == failing
