@@ -278,6 +278,12 @@ OUTPUT_DIGESTS = [
      "cc15d7de737be2c6868a5a2c23774a9411f16f42c7fb09e9946f1fac63c767b2"),
     (("verify", "--type", "E6", "--suite", "table1", "--specialize", "l=5/7,r=3/2", "--json"),
      "911adea88a6baba12f3d2dc5f65899e1bc82d83d7d0312da7be2c72062a79dbd"),
+    # recorded before specialized matrices became integers over one denominator;
+    # the D6 point has r < 0, so signs pass through the normal form
+    (("verify", "--type", "E8", "--suite", "all", "--specialize", "l=5/7,r=3/2", "--json"),
+     "6e2316b3a152591412aa1ea7b6e513400579eaaa9b591ef19ea9b8fea2c9e693"),
+    (("verify", "--type", "D6", "--suite", "all", "--specialize", "l=4/9,r=-5/3", "--json"),
+     "40313ae4beb7fcefeed40ecafeb3d836c5bdd3025deb77c9b3a8afaabebb235c"),
 ]
 
 

@@ -226,6 +226,44 @@ def test_essential_witnesses_for_a_corrupted_e_cell_on_a3():
     assert bad == ESSENTIAL_WITH_BAD_E1
 
 
+# the same corruption, by +1 at the same cell, on A3 specialized at (5/7, 3/2):
+# the same twenty checks fail, with witnesses read as Fractions
+ESSENTIAL_WITH_BAD_E1_AT_POINT = [
+    ("r1_eg_1", "cell x_(1, 0, 0) <- x_(0, 1, 0): Fraction(17, 30) != Fraction(14, 5)"),
+    ("inverse_1", "cell x_(1, 0, 0) <- x_(0, 1, 0): Fraction(-7, 6) != None"),
+    ("wenzl_cross_1_2", "cell x_(1, 0, 0) <- x_(0, 1, 0): Fraction(17, 15) != Fraction(14, 5)"),
+    ("iji_gge_a_1_2",
+     "cell x_(1, 0, 0) <- x_(1, 1, 0): Fraction(67, 30) != Fraction(109, 30)"),
+    ("iji_gge_b_1_2", "cell x_(1, 0, 0) <- x_(0, 0, 1): Fraction(1, 1) != Fraction(2, 1)"),
+    ("iji_geg_a_1_2", "cell x_(1, 0, 0) <- x_(0, 0, 1): Fraction(-5, 4) != Fraction(-5, 2)"),
+    ("iji_geg_b_1_2", "cell x_(1, 1, 0) <- x_(0, 1, 0): Fraction(14, 5) != Fraction(17, 30)"),
+    ("iji_eeg_a_1_2", "cell x_(0, 1, 0) <- x_(0, 1, 0): Fraction(14, 5) != Fraction(17, 30)"),
+    ("iji_eeg_b_1_2", "cell x_(0, 1, 0) <- x_(0, 1, 0): Fraction(14, 5) != Fraction(17, 30)"),
+    ("iji_gee_a_1_2", "cell x_(1, 1, 0) <- x_(0, 0, 1): Fraction(2, 1) != Fraction(1, 1)"),
+    ("iji_gee_b_1_2", "cell x_(1, 1, 0) <- x_(0, 0, 1): Fraction(2, 1) != Fraction(1, 1)"),
+    ("iji_eje_1_2", "cell x_(1, 0, 0) <- x_(0, 1, 0): Fraction(4, 1) != Fraction(2, 1)"),
+    ("commute_eg_1_3", "cell x_(1, 0, 0) <- x_(0, 1, 0): Fraction(-1, 6) != Fraction(4, 3)"),
+    ("wenzl_cross_2_1", "cell x_(0, 1, 0) <- x_(0, 0, 1): Fraction(17, 30) != Fraction(7, 5)"),
+    ("iji_gge_a_2_1", "cell x_(0, 1, 0) <- x_(0, 1, 0): Fraction(2, 1) != Fraction(1, 1)"),
+    ("iji_geg_a_2_1", "cell x_(0, 1, 0) <- x_(0, 0, 1): Fraction(-5, 9) != Fraction(5, 36)"),
+    ("iji_geg_b_2_1",
+     "cell x_(1, 1, 0) <- x_(0, 1, 0): Fraction(5, 7) != Fraction(619, 210)"),
+    ("iji_eeg_a_2_1", "cell x_(1, 0, 0) <- x_(0, 0, 1): Fraction(4, 3) != Fraction(-1, 6)"),
+    ("iji_eeg_b_2_1", "cell x_(1, 0, 0) <- x_(0, 0, 1): Fraction(4, 3) != Fraction(-1, 6)"),
+    ("iji_eje_2_1", "cell x_(0, 1, 0) <- x_(0, 0, 1): Fraction(2, 1) != Fraction(1, 1)"),
+]
+
+
+def test_essential_witnesses_for_a_corrupted_e_cell_on_a3_at_a_point():
+    rep = CharacterSpecialization(build_lk("A3"), Fraction(5, 7), Fraction(3, 2))
+    rs = rep.rs
+    _corrupt_cell(rep.e_matrix(1), rep, rs.root_index[rs.alpha(1)],
+                  rs.root_index[rs.alpha(2)])
+    bad = [(c.name, c.witness) for c in _SUITE_FNS["essential"](rep) if not c.ok]
+    assert [name for name, _ in bad] == [name for name, _ in ESSENTIAL_WITH_BAD_E1]
+    assert bad == ESSENTIAL_WITH_BAD_E1_AT_POINT
+
+
 # negative controls on generic A3: each check must see one corrupted cell of
 # the object it tests, so that it cannot pass by comparing a product with itself
 def test_braid_catches_a_corrupted_sigma_cell_on_a3():
