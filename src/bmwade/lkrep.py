@@ -29,14 +29,17 @@ Scalars in l and r).  The module computes, for a fixed ADE root system:
 Matrix conventions.  A matrix M acts by sigma(x_beta) = sum_gamma x_gamma *
 M[gamma][beta] with coefficients on the right, so operator composition is
 plain matrix multiplication with left-factor entries multiplied first.
-Matrices are stored column-sparse; entries may be HeckeElements, Scalars,
-or Fractions, whichever ring the caller works in.
+Matrices are stored column-sparse: HeckeElements or Scalars in a
+:class:`SparseMatrix`, rationals in a :class:`RationalMatrix` as integers
+over one common denominator (one gcd per matrix, not one per entry product).
+The ring picks the type, ``LKRepresentation.matrix``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from .hecke import HeckeElement, ParabolicError, _left_mul, _right_mul, eval_signed_word, in_parabolic
 from .rootsys import Root, RootSystem, build_type
@@ -44,9 +47,17 @@ from .scalar import Scalar, x_value
 
 
 class SparseMatrix:
-    """Column-sparse square matrix over any ring with +, *, unary - and bool."""
+    """Column-sparse square matrix over any ring with +, *, unary - and bool.
+
+    Cell (r, c) is ``cols[c][r] / den``; no zero entry or empty column is
+    stored.  Here ``den = 1`` is never divided by and a factor of 1
+    multiplies nothing, so Hecke elements and Scalars are stored as they are.
+    The arithmetic is written once over this form; a subclass with its own
+    ``den`` supplies the normal form, ``_split`` and the entry I/O.
+    """
 
     __slots__ = ("size", "cols")
+    den = 1
 
     def __init__(self, size: int, cols: dict | None = None):
         self.size = size
@@ -57,9 +68,18 @@ class SparseMatrix:
                 if kept:
                     self.cols[c] = kept
 
+    @classmethod
+    def _normal(cls, size: int, cols: dict, den) -> SparseMatrix:
+        """The matrix with entries ``cols`` over ``den``, which is 1 here."""
+        return cls(size, cols)
+
     @staticmethod
-    def identity(size: int, one) -> SparseMatrix:
-        return SparseMatrix(size, {i: {i: one} for i in range(size)})
+    def _split(s) -> tuple:
+        return s, 1
+
+    @classmethod
+    def identity(cls, size: int, one) -> SparseMatrix:
+        return cls(size, {i: {i: one} for i in range(size)})
 
     def column(self, c: int) -> dict:
         return self.cols.get(c, {})
@@ -68,28 +88,37 @@ class SparseMatrix:
         return self.cols.get(c, {}).get(r)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SparseMatrix) and self.size == other.size and self.cols == other.cols
+        return (type(other) is type(self) and self.size == other.size
+                and self.den == other.den and self.cols == other.cols)
 
     def __bool__(self) -> bool:
         return bool(self.cols)
 
+    def _over(self, den) -> dict:
+        """A copy of the entries, brought over the multiple ``den`` of self.den."""
+        f = den // self.den
+        if f == 1:
+            return {c: dict(col) for c, col in self.cols.items()}
+        return {c: {r: v * f for r, v in col.items()} for c, col in self.cols.items()}
+
     def __add__(self, other: SparseMatrix) -> SparseMatrix:
-        cols = {c: dict(col) for c, col in self.cols.items()}
-        for c, col in other.cols.items():
+        den = lcm(self.den, other.den)
+        cols = self._over(den)
+        for c, col in other._over(den).items():
             tgt = cols.setdefault(c, {})
             for r, v in col.items():
-                cur = tgt.get(r)
-                tgt[r] = v if cur is None else cur + v
-        return SparseMatrix(self.size, cols)
+                tgt[r] = tgt[r] + v if r in tgt else v
+        return self._normal(self.size, cols, den)
 
     def __neg__(self) -> SparseMatrix:
-        return SparseMatrix(self.size, {c: {r: -v for r, v in col.items()} for c, col in self.cols.items()})
+        return self._normal(
+            self.size, {c: {r: -v for r, v in col.items()} for c, col in self.cols.items()}, self.den)
 
     def __sub__(self, other: SparseMatrix) -> SparseMatrix:
         return self + (-other)
 
-    def apply(self, vec: dict) -> dict:
-        """The column self * vec, left entries first and without zero entries."""
+    def _accumulate(self, vec: dict) -> dict:
+        """The stored entries of self times vec, left entries first, zeros kept."""
         acc: dict[int, object] = {}
         for g, bval in vec.items():
             acol = self.cols.get(g)
@@ -99,16 +128,28 @@ class SparseMatrix:
                 prod = aval * bval
                 cur = acc.get(r)
                 acc[r] = prod if cur is None else cur + prod
-        return {r: v for r, v in acc.items() if v}
+        return acc
+
+    def apply(self, vec: dict) -> dict:
+        """The column self * vec, left entries first and without zero entries."""
+        return {r: v for r, v in self._accumulate(vec).items() if v}
 
     def __mul__(self, other: SparseMatrix) -> SparseMatrix:
-        return SparseMatrix(self.size, {c: self.apply(col) for c, col in other.cols.items()})
+        return self._normal(
+            self.size, {c: self._accumulate(col) for c, col in other.cols.items()},
+            self.den * other.den)
 
     def map_entries(self, fn) -> SparseMatrix:
-        return SparseMatrix(self.size, {c: {r: fn(v) for r, v in col.items()} for c, col in self.cols.items()})
+        """The matrix of fn(entry), over whatever ring fn maps into."""
+        return SparseMatrix(self.size, {c: {r: fn(v) for r, v in self.column(c).items()}
+                                        for c in self.cols})
 
     def scale(self, s) -> SparseMatrix:
-        return self.map_entries(lambda v: v * s)
+        """self * s, with s right-multiplying every entry."""
+        num, den = self._split(s)
+        return self._normal(
+            self.size, {c: {r: v * num for r, v in col.items()} for c, col in self.cols.items()},
+            self.den * den)
 
     def to_json_columns(self, entry_json) -> list:
         return [
@@ -117,16 +158,63 @@ class SparseMatrix:
         ]
 
 
+class RationalMatrix(SparseMatrix):
+    """A matrix over Q: integers over one denominator ``den > 0``, in lowest terms.
+
+    The form is canonical (gcd(den, every entry) = 1), so ``==`` compares
+    ``den`` and ``cols``.  The constructor takes Fraction columns, and
+    ``entry``, ``column`` and ``apply`` read and return Fractions.
+    """
+
+    __slots__ = ("den",)
+
+    def __init__(self, size: int, cols: dict | None = None):
+        fracs = {c: {r: Fraction(v) for r, v in col.items()} for c, col in (cols or {}).items()}
+        # over the lcm of the reduced denominators, gcd(den, every entry) is already 1
+        den = lcm(*(v.denominator for col in fracs.values() for v in col.values()))
+        super().__init__(size, {c: {r: v.numerator * (den // v.denominator) for r, v in col.items()}
+                                for c, col in fracs.items()})
+        self.den = den
+
+    @classmethod
+    def _normal(cls, size: int, cols: dict, den: int) -> RationalMatrix:
+        mat = cls.__new__(cls)
+        SparseMatrix.__init__(mat, size, cols)
+        g = gcd(den, *(v for col in mat.cols.values() for v in col.values()))
+        if g != 1:
+            mat.cols = {c: {r: v // g for r, v in col.items()} for c, col in mat.cols.items()}
+        mat.den = den // g
+        return mat
+
+    @staticmethod
+    def _split(s) -> tuple[int, int]:
+        s = Fraction(s)
+        return s.numerator, s.denominator
+
+    def column(self, c: int) -> dict:
+        return {r: Fraction(v, self.den) for r, v in self.cols.get(c, {}).items()}
+
+    def entry(self, r: int, c: int):
+        v = self.cols.get(c, {}).get(r)
+        return None if v is None else Fraction(v, self.den)
+
+    def apply(self, vec: dict) -> dict:
+        return {r: Fraction(v, self.den) for r, v in self._accumulate(vec).items() if v}
+
+
 class LKRepresentation:
     """The T recursion and the matrix builders, over a coefficient ring.
 
     A subclass supplies the ring: ``zero()``, ``unit()``, ``z(j)`` and
     ``t_closed_form(i, beta)``, plus the ground scalars ``m``, ``l``,
     ``linv``, ``x`` and ``l_over_m``, which right-multiply ring elements and
-    matrix entries.  Factors are always multiplied in the order of the
-    generic equations (z_h^-1 T in the commuting step, T z_h in the adjacent
-    step), so a ring with non-commuting elements sees the true order.
+    matrix entries, and the type ``matrix`` of its matrices.  Factors are
+    always multiplied in the order of the generic equations (z_h^-1 T in the
+    commuting step, T z_h in the adjacent step), so a ring with
+    non-commuting elements sees the true order.
     """
+
+    matrix = SparseMatrix
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -223,7 +311,7 @@ class LKRepresentation:
                 part = t * self.linv
                 col[ai_idx] = part if cur is None else cur + part
             cols[b_idx] = col
-        mat = SparseMatrix(self.size, cols)
+        mat = self.matrix(self.size, cols)
         self._sigma[i] = mat
         return mat
 
@@ -232,12 +320,12 @@ class LKRepresentation:
         if cached is None:
             cols = {b_idx: self._tau_column(i, b_idx, beta)
                     for b_idx, beta in enumerate(self.rs.positive_roots)}
-            cached = SparseMatrix(self.size, cols)
+            cached = self.matrix(self.size, cols)
             self._tau[i] = cached
         return cached
 
     def identity_matrix(self) -> SparseMatrix:
-        return SparseMatrix.identity(self.size, self.unit())
+        return self.matrix.identity(self.size, self.unit())
 
     def e_and_f(self, i: int) -> tuple[SparseMatrix, SparseMatrix]:
         """f_i = sigma_i^2 + m sigma_i - 1 and e_i = (l/m) f_i."""
@@ -344,6 +432,7 @@ class CharacterSpecialization(LKRepresentation):
             one = Scalar.one()
         else:
             l, r, one = Fraction(l), Fraction(r), Fraction(1)
+            self.matrix = RationalMatrix
         if not l:
             raise ValueError("l must be nonzero")
         if not r:

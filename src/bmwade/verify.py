@@ -115,7 +115,7 @@ def _mat_witness(a: SparseMatrix, b: SparseMatrix, rs) -> str | None:
 
 
 def _check_eq(out: list, name: str, a: SparseMatrix, b: SparseMatrix, rs):
-    w = _mat_witness(a, b, rs)
+    w = None if a == b else _mat_witness(a, b, rs)
     out.append(CheckResult(name, w is None, w))
 
 
@@ -146,7 +146,7 @@ def _suite_braid(rep: LKRepresentation) -> list[CheckResult]:
 
 def _suite_essential(rep: LKRepresentation) -> list[CheckResult]:
     rs, out = rep.rs, []
-    m, ident, zero = rep.m, rep.identity_matrix(), SparseMatrix(rep.size)
+    m, ident, zero = rep.m, rep.identity_matrix(), rep.matrix(rep.size)
     e_linv = {}
     for i in rs.nodes:
         S, E = rep.sigma(i), rep.e_matrix(i)
@@ -208,7 +208,7 @@ def _suite_eiproj(rep: LKRepresentation) -> list[CheckResult]:
                 coeff = (t(i, rs.sub_simple(beta, i)) + inner) * linv
             if coeff:
                 cols[b_idx] = {ai_idx: coeff}
-        _check_eq(out, f"eiproj_{i}", rep.e_and_f(i)[1], SparseMatrix(rep.size, cols), rs)
+        _check_eq(out, f"eiproj_{i}", rep.e_and_f(i)[1], rep.matrix(rep.size, cols), rs)
     return out
 
 

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from bmwade.lkrep import CharacterSpecialization, SparseMatrix, build_lk
+from bmwade.lkrep import CharacterSpecialization, RationalMatrix, SparseMatrix, build_lk
 from bmwade.scalar import Scalar, ScalarDomainError, x_value
 
 M = Scalar.m()
@@ -156,7 +158,8 @@ def test_character_route_equals_specialized_generic(label):
     for i in lk.rs.nodes:
         for name in ("sigma", "e_matrix", "tau", "sigma_inv"):
             generic = getattr(lk, name)(i)
-            assert getattr(spec, name)(i) == _specialize(lk, generic, l0, r0), (name, i)
+            reference = _specialize(lk, generic, l0, r0)
+            assert getattr(spec, name)(i) == RationalMatrix(lk.size, reference.cols), (name, i)
             if name not in ("sigma", "tau"):
                 continue
             for point in ((l0, r0), (Fraction(7, 5), Fraction(-2, 5))):
@@ -180,7 +183,8 @@ def test_character_rejects_degenerate_points():
     # r = 1 gives m = 0: sigma exists, only x and l/m do not (run_suite
     # rejects the point, see test_verify)
     at_one = CharacterSpecialization(lk, Fraction(5, 7), 1)
-    assert at_one.sigma(1) == _specialize(lk, lk.sigma(1), Fraction(5, 7), Fraction(1))
+    reference = _specialize(lk, lk.sigma(1), Fraction(5, 7), Fraction(1))
+    assert at_one.sigma(1) == RationalMatrix(lk.size, reference.cols)
     with pytest.raises(ZeroDivisionError):
         at_one.x
 
@@ -220,6 +224,69 @@ def test_sparse_matrix_algebra():
     assert not (a - a)
     assert a
     assert (a + a) == a.scale(Fraction(2))
+
+
+def _random_columns(rng, size):
+    """Sparse Fraction columns, zero entries and negative values included."""
+    density = rng.choice((0.0, 0.25, 0.6, 1.0))
+    return {c: {r: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 9)))
+                for r in range(size) if rng.random() < density}
+            for c in range(size)}
+
+
+def _cancelling_pair(size):
+    """a * b = 0 entrywise by cancellation: a has equal rows, b opposite ones."""
+    a = {0: {0: Fraction(3, 4), 1: Fraction(3, 4)}, 1: {0: Fraction(3, 4), 1: Fraction(3, 4)}}
+    b = {c: {0: Fraction(c + 1, 5), 1: Fraction(-(c + 1), 5)} for c in range(size)}
+    return a, b
+
+
+def _assert_normal(mat):
+    assert type(mat) is RationalMatrix and type(mat.den) is int and mat.den > 0
+    values = [v for col in mat.cols.values() for v in col.values()]
+    assert all(mat.cols.values()) and all(type(v) is int and v for v in values)
+    assert gcd(mat.den, *values) == 1  # the zero matrix has den 1
+
+
+def _assert_same_cells(rat, ref):
+    for c in range(ref.size):
+        assert rat.column(c) == ref.column(c), c
+        for r in range(ref.size):
+            assert rat.entry(r, c) == ref.entry(r, c), (r, c)
+
+
+def test_rational_matrix_agrees_with_fraction_entries():
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(40):
+        size = rng.randint(1, 8)
+        cases.append((size, _random_columns(rng, size), _random_columns(rng, size)))
+    for size in (2, 5, 8):
+        cases.append((size, *_cancelling_pair(size)))
+        cases.append((size, {}, _random_columns(rng, size)))
+    for size, acols, bcols in cases:
+        a, b = RationalMatrix(size, acols), RationalMatrix(size, bcols)
+        fa, fb = SparseMatrix(size, acols), SparseMatrix(size, bcols)
+        s = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+        vec = _random_columns(rng, size)[0]
+        results = [
+            (a, fa), (a * b, fa * fb), (b * a, fb * fa), (a + b, fa + fb),
+            (a - b, fa - fb), (a - a, fa - fa), (-a, -fa), (a.scale(s), fa.scale(s)),
+            (a + b.scale(-1), fa - fb),
+        ]
+        for rat, ref in results:
+            _assert_normal(rat)
+            _assert_same_cells(rat, ref)
+            assert rat == RationalMatrix(size, ref.cols)
+        assert a.apply(vec) == fa.apply(vec)
+        assert all(type(v) is Fraction for v in a.apply(vec).values())
+        for left, right in ((a, b), (a, a.scale(3).scale(Fraction(1, 3))), (a * b, b * a),
+                            (a - a, RationalMatrix(size)), (a, a + RationalMatrix(size, {0: {0: s}}))):
+            cellwise = all(left.entry(r, c) == right.entry(r, c)
+                           for r in range(size) for c in range(size))
+            assert (left == right) == cellwise
+    a, b = (RationalMatrix(3, cols) for cols in _cancelling_pair(3))
+    assert not a * b and (a * b).den == 1
 
 
 def _product_column(a, b, c):

@@ -3,7 +3,13 @@ from math import factorial
 
 import pytest
 
-from bmwade.lkrep import CharacterSpecialization, LawrenceKrammer, SparseMatrix, build_lk
+from bmwade.lkrep import (
+    CharacterSpecialization,
+    LawrenceKrammer,
+    RationalMatrix,
+    SparseMatrix,
+    build_lk,
+)
 from bmwade.rootsys import build_type
 from bmwade.verify import (
     _SUITE_FNS,
@@ -165,7 +171,8 @@ def test_zaction_catches_a_corrupted_sigma_cell_on_e6():
     beta = next(b for b in rs.positive_roots if rs.pairing_simple(1, b) == 0)
     b_idx = rs.root_index[beta]
     s1 = rep.sigma(1)
-    s1.cols[b_idx][b_idx] = s1.cols[b_idx].get(b_idx, 0) + 1
+    # +1 to the cell: its stored integer is over s1.den
+    s1.cols[b_idx][b_idx] = s1.cols[b_idx].get(b_idx, 0) + s1.den
     assert s1.cols[b_idx][b_idx]
     rep._ef.clear()
     checks = _suite_zaction(rep)
@@ -174,8 +181,10 @@ def test_zaction_catches_a_corrupted_sigma_cell_on_e6():
 
 
 def _corrupt_cell(mat, rep, row, col):
+    """Add exactly 1 to one cell; a RationalMatrix stores it as den over den."""
+    one = mat.den if isinstance(mat, RationalMatrix) else rep.unit()
     cell = mat.cols.setdefault(col, {})
-    cell[row] = cell[row] + rep.unit() if row in cell else rep.unit()
+    cell[row] = cell[row] + one if row in cell else one
 
 
 def test_inverse_check_reads_the_cached_sigma_inverse():
