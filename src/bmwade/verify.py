@@ -115,6 +115,7 @@ def _mat_witness(a: SparseMatrix, b: SparseMatrix, rs) -> str | None:
 
 
 def _check_eq(out: list, name: str, a: SparseMatrix, b: SparseMatrix, rs):
+    # == is True only when every cell agrees; on False the walk decides (non-canonical forms too)
     w = None if a == b else _mat_witness(a, b, rs)
     out.append(CheckResult(name, w is None, w))
 

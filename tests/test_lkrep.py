@@ -280,8 +280,9 @@ def test_rational_matrix_agrees_with_fraction_entries():
             assert rat == RationalMatrix(size, ref.cols)
         assert a.apply(vec) == fa.apply(vec)
         assert all(type(v) is Fraction for v in a.apply(vec).values())
-        for left, right in ((a, b), (a, a.scale(3).scale(Fraction(1, 3))), (a * b, b * a),
-                            (a - a, RationalMatrix(size)), (a, a + RationalMatrix(size, {0: {0: s}}))):
+        pairs = ((a, b), (a, a.scale(3).scale(Fraction(1, 3))), (a, a.scale(2)), (a * b, b * a),
+                 (a - a, RationalMatrix(size)), (a, a + RationalMatrix(size, {0: {0: s}})))
+        for left, right in pairs:
             cellwise = all(left.entry(r, c) == right.entry(r, c)
                            for r in range(size) for c in range(size))
             assert (left == right) == cellwise
