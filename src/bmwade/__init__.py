@@ -8,7 +8,6 @@ from .rootsys import (
     build_type,
     enumerate_parabolic,
     parabolic_order,
-    weyl_order,
 )
 from .scalar import Scalar, ScalarDomainError, x_value
 from .verify import SuiteReport, a2_dimension_check, dims_report, run_suite, seeded_points
@@ -38,6 +37,5 @@ __all__ = [
     "rep_image_word",
     "run_suite",
     "seeded_points",
-    "weyl_order",
     "x_value",
 ]

@@ -26,7 +26,7 @@ from .hecke import HeckeElement
 from .lkrep import CharacterSpecialization, build_lk
 from .rootsys import DynkinType, build_type
 from .scalar import Scalar
-from .verify import SUITE_NAMES, UnsupportedModeError, a2_dimension_check, dims_report, run_suite
+from .verify import UnsupportedModeError, dims_report, run_suite
 from .wordalg import parse_word, reduce_word, word_to_text
 
 
@@ -133,43 +133,27 @@ def _cmd_hbeta(args) -> int:
 
 
 def _cmd_matrices(args) -> int:
-    lk = build_lk(_parse_type(args.type).dtype.label)
+    rs = _parse_type(args.type)
     if args.r is not None and args.theta is None:
         raise UsageError("--r needs --theta lk")
     if args.theta is None:
-        payload = {
-            "type": lk.rs.dtype.label,
-            "size": lk.size,
-            "sigma": {
-                str(i): lk.sigma(i).to_json_columns(
-                    lambda h: (h or HeckeElement.zero(lk.rs, lk.c_set)).to_json_dict())
-                for i in lk.rs.nodes
-            },
-            "e": {
-                str(i): lk.e_matrix(i).to_json_columns(
-                    lambda h: (h or HeckeElement.zero(lk.rs, lk.c_set)).to_json_dict())
-                for i in lk.rs.nodes
-            },
-        }
+        rep = build_lk(rs.dtype.label)
+        zero = HeckeElement.zero(rs, rep.c_set)
+        builders = {"sigma": rep.sigma, "e": rep.e_matrix}
     else:
-        if args.r is None:
-            r = Scalar.m()
-        else:
-            r = Scalar.from_fraction(_parse_fraction(args.r))
+        r = Scalar.m() if args.r is None else Scalar.from_fraction(_parse_fraction(args.r))
         try:
-            rep = CharacterSpecialization(lk, Scalar.l(1), r)
+            rep = CharacterSpecialization(rs, Scalar.l(1), r)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        payload = {
-            "type": lk.rs.dtype.label,
-            "size": rep.size,
-            "gamma": {
-                str(i): rep.sigma(i).to_json_columns(lambda s: (s or Scalar.zero()).to_json_dict())
-                for i in lk.rs.nodes
-            },
-        }
+        zero = Scalar.zero()
+        builders = {"gamma": rep.sigma}
+    payload = {"type": rs.dtype.label, "size": rep.size}
+    for key, build in builders.items():
+        payload[key] = {str(i): build(i).to_json_columns(lambda v: (v or zero).to_json_dict())
+                        for i in rs.nodes}
     text = _dumps(payload)
-    if args.json and args.json is not True:
+    if args.json is not True:
         try:
             Path(args.json).write_text(text + "\n")
         except OSError as exc:
@@ -189,18 +173,9 @@ def _parse_specialize(text: str) -> tuple[Fraction, Fraction]:
 
 def _cmd_verify(args) -> int:
     rs = _parse_type(args.type)
-    if args.suite not in SUITE_NAMES + ("all", "a2dim"):
-        raise UsageError(f"unknown suite {args.suite!r}")
+    point = None if args.specialize is None else _parse_specialize(args.specialize)
     try:
-        if args.suite == "a2dim":
-            if rs.dtype.label != "A2":
-                raise UsageError("the a2dim suite runs on type A2 only")
-            if args.specialize:
-                raise UsageError("the a2dim suite has no specialized mode")
-            report = a2_dimension_check()
-        else:
-            point = _parse_specialize(args.specialize) if args.specialize else None
-            report = run_suite(args.suite, rs.dtype.label, point)
+        report = run_suite(args.suite, rs.dtype.label, point)
     except UnsupportedModeError as exc:
         raise UsageError(str(exc)) from exc
     if args.json:

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
-from .hecke import HeckeElement, ParabolicError, _left_mul, _right_mul, eval_signed_word, in_parabolic
+from .hecke import HeckeElement, ParabolicError, _left_mul, _right_mul, eval_signed_word
 from .rootsys import Root, RootSystem, build_type
 from .scalar import Scalar, x_value
 
@@ -279,41 +279,33 @@ class LKRepresentation:
 
     # -- representation matrices ------------------------------------------------
 
-    def _idx(self, beta: Root) -> int:
-        return self.rs.root_index[beta]
-
     def _tau_column(self, i: int, b_idx: int, beta: Root) -> dict:
         rs = self.rs
         p = rs.pairing_simple(i, beta)
         if p == 1:
-            return {self._idx(rs.sub_simple(beta, i)): self.unit()}
+            return {rs.root_index[rs.sub_simple(beta, i)]: self.unit()}
         if p == 0:
             return {b_idx: self.h_elem(beta, i)}
         if p == -1:
-            return {self._idx(rs.add_simple(beta, i)): self.unit(), b_idx: self.unit() * -self.m}
+            return {rs.root_index[rs.add_simple(beta, i)]: self.unit(),
+                    b_idx: self.unit() * -self.m}
         return {}
 
     def sigma(self, i: int) -> SparseMatrix:
-        """sigma_i = tau_i + l^-1 T_i, with T_i confined to the alpha_i row."""
+        """sigma_i = tau_i + l^-1 T_i, with T_{i,beta} l^-1 in row alpha_i of
+        column beta; T_{i,alpha_i} = 1 is known without a lookup."""
         cached = self._sigma.get(i)
-        if cached is not None:
-            return cached
-        rs = self.rs
-        ai = rs.alpha(i)
-        ai_idx = self._idx(ai)
-        cols = {}
-        for b_idx, beta in enumerate(rs.positive_roots):
-            col = self._tau_column(i, b_idx, beta)
-            # T_{i,alpha_i} = 1 is known without a lookup
-            t = self.unit() if beta == ai else self.t_coeff(i, beta)
-            if t:
-                cur = col.get(ai_idx)
-                part = t * self.linv
-                col[ai_idx] = part if cur is None else cur + part
-            cols[b_idx] = col
-        mat = self.matrix(self.size, cols)
-        self._sigma[i] = mat
-        return mat
+        if cached is None:
+            ai = self.rs.alpha(i)
+            ai_idx = self.rs.root_index[ai]
+            row = {}
+            for b_idx, beta in enumerate(self.rs.positive_roots):
+                t = self.unit() if beta == ai else self.t_coeff(i, beta)
+                if t:
+                    row[b_idx] = {ai_idx: t * self.linv}
+            cached = self.tau(i) + self.matrix(self.size, row)
+            self._sigma[i] = cached
+        return cached
 
     def tau(self, i: int) -> SparseMatrix:
         cached = self._tau.get(i)
@@ -400,12 +392,11 @@ class LawrenceKrammer(LKRepresentation):
         raw = _closed_form_eval(
             rs, i, rs.s_beta_word(beta), rs.d_beta_word(beta),
             rs.d_beta_word(rs.alpha(i)))
-        for w in {w for w, _, _ in raw}:
-            if not in_parabolic(rs, w, self.c_set):
-                raise ParabolicError(
-                    f"T closed form for i={i}, beta={beta} left the C-parabolic "
-                    f"at {rs.reduced_word(w)}", rs.reduced_word(w))
-        return HeckeElement(rs, self.c_set, raw).scale(self.m)
+        try:
+            projected = HeckeElement(rs, self.full_set, raw).project_subalgebra(self.c_set)
+        except ParabolicError as exc:
+            raise ParabolicError(f"T closed form for i={i}, beta={beta}: {exc}", exc.word) from exc
+        return projected.scale(self.m)
 
 
 class CharacterSpecialization(LKRepresentation):
@@ -427,7 +418,7 @@ class CharacterSpecialization(LKRepresentation):
     ScalarDomainError.
     """
 
-    def __init__(self, lk: LawrenceKrammer, l, r):
+    def __init__(self, rs: RootSystem, l, r):
         if isinstance(r, Scalar):
             one = Scalar.one()
         else:
@@ -437,7 +428,7 @@ class CharacterSpecialization(LKRepresentation):
             raise ValueError("l must be nonzero")
         if not r:
             raise ValueError("r must be nonzero")
-        super().__init__(lk.rs)
+        super().__init__(rs)
         self._one, self._zero = one, one - one
         self.l, self.r = l, r
         self.c0 = one / r

@@ -25,7 +25,8 @@ Conventions, fixed once and used everywhere downstream:
   h_{beta,i} = z_h: the recursion that pushes beta toward the highest root,
   read from a table built on first use.
 * ``parabolic_order(rs, J)`` is |W_J| from the heights of the roots
-  supported on J (Macdonald, Math. Ann. 199, 1972).
+  supported on J (Macdonald, Math. Ann. 199, 1972); with J = ``rs.nodes``
+  it is |W|, so no table of Weyl group orders is kept.
 
 Ties are always broken toward the smallest node index, so every word
 produced here is deterministic; uniqueness of the underlying group elements
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import factorial
 from operator import add, getitem
 
 Root = tuple  # tuple[int, ...] over the simple roots
@@ -406,14 +406,6 @@ def enumerate_parabolic(rs: RootSystem, nodes) -> list[Weyl]:
         out += sorted(layer)
         prev, layer = layer, {rs.right_mul_simple(w, i) for w in layer for i in gens} - prev
     return out
-
-
-def weyl_order(family: str, rank: int) -> int:
-    if family == "A":
-        return factorial(rank + 1)
-    if family == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    return {6: 51840, 7: 2903040, 8: 696729600}[rank]
 
 
 def parabolic_order(rs: RootSystem, nodes) -> int:

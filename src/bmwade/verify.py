@@ -31,7 +31,7 @@ from .lkrep import (
     SparseMatrix,
     build_lk,
 )
-from .rootsys import DynkinType, build_type, enumerate_parabolic, parabolic_order, weyl_order
+from .rootsys import DynkinType, build_type, enumerate_parabolic, parabolic_order
 from .scalar import Scalar
 from .wordalg import reduce_word, rep_image_word
 
@@ -351,7 +351,15 @@ _SUITE_FNS = {
 
 def run_suite(suite: str, type_label: str, point=None) -> SuiteReport:
     """Run one suite, or ``"all"``: in generic mode when ``point`` is None,
-    else specialized at ``point`` = (l0, r0), which needs l0 != 0 and m != 0."""
+    else specialized at ``point`` = (l0, r0), which needs l0 != 0 and m != 0.
+    ``"a2dim"``, outside ``"all"``, is :func:`a2_dimension_check`, on A2 in
+    generic mode only.  What cannot run raises UnsupportedModeError."""
+    if suite == "a2dim":
+        if DynkinType.parse(type_label).label != "A2":
+            raise UnsupportedModeError("the a2dim suite runs on type A2 only")
+        if point is not None:
+            raise UnsupportedModeError("the a2dim suite has no specialized mode")
+        return a2_dimension_check()
     if suite != "all" and suite not in SUITE_NAMES:
         raise UnsupportedModeError(f"unknown suite {suite!r}")
     if point is None:
@@ -365,7 +373,7 @@ def run_suite(suite: str, type_label: str, point=None) -> SuiteReport:
         l0, r0 = Fraction(point[0]), Fraction(point[1])
         if l0 == 0 or r0 in (0, 1, -1):  # m = 0 leaves e_i = (l/m) f_i undefined
             raise UnsupportedModeError("need l0 != 0 and r0 not in {0, 1, -1}")
-        rep = CharacterSpecialization(build_lk(type_label), l0, r0)
+        rep = CharacterSpecialization(build_type(type_label), l0, r0)
         mode_label = f"specialized l={l0} r={r0}"
     names = SUITE_NAMES if suite == "all" else (suite,)
     report = SuiteReport(suite, type_label, mode_label)
@@ -402,13 +410,12 @@ def dims_report(type_label: str) -> dict:
     fam, n = rs.dtype.family, rs.dtype.rank
     phi = len(rs.positive_roots)
     wc = parabolic_order(rs, rs.c_nodes)
-    w = weyl_order(fam, n)
     report = {
         "type": type_label,
         "phi_plus": phi,
         "c_nodes": list(rs.c_nodes),
         "w_c_order": wc,
-        "hecke_dim": w,
+        "hecke_dim": parabolic_order(rs, rs.nodes),
         "i1_mod_i2_dim": phi * phi * wc,
         "total_dim": None,
         "total_conjectural": False,

@@ -160,6 +160,7 @@ def test_verify_a2dim_specialized_is_usage_error(capsys):
     "l=5/7,r=3/2,r=2",     # a repeated key
     "l=5/7,,r=3/2",        # an empty part
     "l=5/7,q=3/2",         # an unknown key
+    "",                    # an empty point, which is not the generic mode
 ])
 def test_verify_malformed_specialize_is_usage_error(capsys, spec):
     code, out, err = run(capsys, "verify", "--type", "A2", "--suite", "braid",
@@ -186,6 +187,13 @@ def test_matrices_json_to_unwritable_path_is_usage_error(tmp_path, capsys):
     assert err.splitlines()[0].startswith(f"error: cannot write {target}: ")
     assert "internal" not in err and "Traceback" not in err
     assert not target.parent.exists()
+
+
+def test_matrices_json_to_an_empty_path_is_usage_error(capsys):
+    code, out, err = run(capsys, "matrices", "--type", "A2", "--json", "")
+    assert code == 2 and out == ""
+    assert err.splitlines()[0].startswith("error: cannot write : ")
+    assert "internal" not in err and "Traceback" not in err
 
 
 def test_matrices_theta_lk_reads_a_negative_r_as_a_value(capsys):
@@ -284,6 +292,17 @@ OUTPUT_DIGESTS = [
      "6e2316b3a152591412aa1ea7b6e513400579eaaa9b591ef19ea9b8fea2c9e693"),
     (("verify", "--type", "D6", "--suite", "all", "--specialize", "l=4/9,r=-5/3", "--json"),
      "40313ae4beb7fcefeed40ecafeb3d836c5bdd3025deb77c9b3a8afaabebb235c"),
+    # recorded before |W| was read from root heights, sigma was built on tau and
+    # the a2dim rules moved into run_suite; E6 --theta lk pins sigma = tau + l^-1 T
+    # over the symbolic character ring
+    (("dims", "--type", "A5", "--json"),
+     "055c880415328d79855afae9da686e41177f113c2a27774d685efb2a059dae10"),
+    (("dims", "--type", "E7", "--json"),
+     "764470ad5b372b0ed26dfad99f1d2a86738509c79e4e3e8e26be51a30a12cc2c"),
+    (("verify", "--type", "A2", "--suite", "a2dim", "--json"),
+     "c60e7c11b3bae8fb5dd9f48c59d0f855011d7b2a65bea457e97ce8af90930229"),
+    (("matrices", "--type", "E6", "--theta", "lk"),
+     "f0bd7554acd0b4c8f935eaecc8538dfb1102f06e05f506e24b96047cd40d4fa7"),
 ]
 
 

@@ -110,7 +110,7 @@ def test_f_matrix_values_on_d4():
 def _character(lk, r=None):
     """The character ring with l symbolic and r symbolic, or r = r0."""
     return CharacterSpecialization(
-        lk, L, Scalar.m() if r is None else Scalar.from_fraction(r))
+        lk.rs, L, Scalar.m() if r is None else Scalar.from_fraction(r))
 
 
 def test_gamma_theta_dimensions():
@@ -153,7 +153,7 @@ def _specialize(lk, mat, l0, r0):
 def test_character_route_equals_specialized_generic(label):
     lk = build_lk(label)
     l0, r0 = Fraction(5, 7), Fraction(3, 2)
-    spec = CharacterSpecialization(lk, l0, r0)
+    spec = CharacterSpecialization(lk.rs, l0, r0)
     sym = _character(lk)
     for i in lk.rs.nodes:
         for name in ("sigma", "e_matrix", "tau", "sigma_inv"):
@@ -175,14 +175,14 @@ def test_character_route_equals_specialized_generic(label):
 def test_character_rejects_degenerate_points():
     lk = build_lk("A2")
     with pytest.raises(ValueError):
-        CharacterSpecialization(lk, 0, Fraction(3, 2))
+        CharacterSpecialization(lk.rs, 0, Fraction(3, 2))
     with pytest.raises(ValueError):
-        CharacterSpecialization(lk, Fraction(5, 7), 0)
+        CharacterSpecialization(lk.rs, Fraction(5, 7), 0)
     with pytest.raises(ValueError):
         _character(lk, 0)
     # r = 1 gives m = 0: sigma exists, only x and l/m do not (run_suite
     # rejects the point, see test_verify)
-    at_one = CharacterSpecialization(lk, Fraction(5, 7), 1)
+    at_one = CharacterSpecialization(lk.rs, Fraction(5, 7), 1)
     reference = _specialize(lk, lk.sigma(1), Fraction(5, 7), Fraction(1))
     assert at_one.sigma(1) == RationalMatrix(lk.size, reference.cols)
     with pytest.raises(ZeroDivisionError):
@@ -311,7 +311,7 @@ def _product_column(a, b, c):
 ])
 def test_apply_is_one_column_of_the_product(label, point):
     lk = build_lk(label)
-    rep = lk if point is None else CharacterSpecialization(lk, *point)
+    rep = lk if point is None else CharacterSpecialization(lk.rs, *point)
     i, j = rep.rs.nodes[0], rep.rs.nodes[1]
     mats = [rep.sigma(i), rep.e_matrix(j), rep.sigma_inv(i), rep.sigma(j)]
     for a in mats:

@@ -8,7 +8,6 @@ from bmwade.rootsys import (
     build_type,
     enumerate_parabolic,
     parabolic_order,
-    weyl_order,
 )
 
 CENSUS = {
@@ -234,9 +233,10 @@ def test_s_beta_is_the_reflection():
 
 
 def test_weyl_order_formulas():
-    assert weyl_order("A", 5) == 720
-    assert weyl_order("D", 4) == 192
-    assert weyl_order("E", 8) == 696729600
+    for label, order in (("A5", 720), ("D4", 192), ("E6", 51840), ("E7", 2903040),
+                         ("E8", 696729600)):
+        rs = build_type(label)
+        assert parabolic_order(rs, rs.nodes) == order, label
 
 
 def test_component_classification_via_parabolic_order():

@@ -161,12 +161,20 @@ def test_a2_dimension_check():
     assert {c.name for c in rep.checks} == {"rank_15", "g1e2g1_independent", "closure"}
 
 
+def test_run_suite_owns_the_a2dim_rules():
+    assert run_suite("a2dim", "A2").to_json_dict() == a2_dimension_check().to_json_dict()
+    with pytest.raises(UnsupportedModeError, match="^the a2dim suite runs on type A2 only$"):
+        run_suite("a2dim", "A3")
+    with pytest.raises(UnsupportedModeError, match="^the a2dim suite has no specialized mode$"):
+        run_suite("a2dim", "A2", (Fraction(5, 7), Fraction(3, 2)))
+
+
 def test_sparse_matrix_witness_none_for_equal_zero():
     assert _mat_witness(SparseMatrix(3), SparseMatrix(3), build_lk("A2").rs) is None
 
 
 def test_zaction_catches_a_corrupted_sigma_cell_on_e6():
-    rep = CharacterSpecialization(build_lk("E6"), Fraction(5, 7), Fraction(3, 2))
+    rep = CharacterSpecialization(build_type("E6"), Fraction(5, 7), Fraction(3, 2))
     rs = rep.rs
     beta = next(b for b in rs.positive_roots if rs.pairing_simple(1, b) == 0)
     b_idx = rs.root_index[beta]
@@ -188,7 +196,7 @@ def _corrupt_cell(mat, rep, row, col):
 
 
 def test_inverse_check_reads_the_cached_sigma_inverse():
-    rep = CharacterSpecialization(build_lk("A3"), Fraction(5, 7), Fraction(3, 2))
+    rep = CharacterSpecialization(build_type("A3"), Fraction(5, 7), Fraction(3, 2))
     rs = rep.rs
     a1, a2 = rs.root_index[rs.alpha(1)], rs.root_index[rs.alpha(2)]
     _corrupt_cell(rep.sigma_inv(1), rep, a1, a2)
@@ -264,7 +272,7 @@ ESSENTIAL_WITH_BAD_E1_AT_POINT = [
 
 
 def test_essential_witnesses_for_a_corrupted_e_cell_on_a3_at_a_point():
-    rep = CharacterSpecialization(build_lk("A3"), Fraction(5, 7), Fraction(3, 2))
+    rep = CharacterSpecialization(build_type("A3"), Fraction(5, 7), Fraction(3, 2))
     rs = rep.rs
     _corrupt_cell(rep.e_matrix(1), rep, rs.root_index[rs.alpha(1)],
                   rs.root_index[rs.alpha(2)])
