@@ -8,9 +8,12 @@ character), ``verify`` (relation suites) and ``dims`` (dimension formulas).
 Exit codes: 0 on success or all checks passing, 1 when a verification check
 fails, 2 on usage errors, 3 on any other error (one ``error: internal: <Type>:
 <message>`` line on stderr), 141 (128 + SIGPIPE) with no message when the
-reader closes stdout before the output is written.  Output is deterministic:
-identical invocations produce identical bytes, and JSON output re-serializes
-to itself.
+reader closes stdout before the output is written.  Exit 2 comes from argparse
+or from the one mapping in ``main``: a ``UsageError`` from the parsers here, a
+``WordParseError`` from ``parse_word``, or an ``UnsupportedModeError`` from
+the code that refuses the request (``build_lk``, ``CharacterSpecialization``,
+``run_suite``).  Output is deterministic: identical invocations produce
+identical bytes, and JSON output re-serializes to itself.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .hecke import HeckeElement
-from .lkrep import CharacterSpecialization, build_lk
+from .lkrep import CharacterSpecialization, UnsupportedModeError, build_lk
 from .rootsys import DynkinType, build_type
 from .scalar import Scalar
-from .verify import UnsupportedModeError, dims_report, run_suite
-from .wordalg import parse_word, reduce_word, word_to_text
+from .verify import dims_report, run_suite
+from .wordalg import WordParseError, parse_word, reduce_word, word_to_text
 
 
 class UsageError(ValueError):
@@ -79,8 +81,7 @@ def _parse_fraction(text: str) -> Fraction:
     raise UsageError(f"cannot parse rational {text!r}")
 
 
-def _cmd_roots(args) -> int:
-    rs = _parse_type(args.type)
+def _cmd_roots(args, rs) -> int:
     if args.json:
         print(_dumps(rs.to_json_dict()))
         return 0
@@ -91,13 +92,8 @@ def _cmd_roots(args) -> int:
     return 0
 
 
-def _cmd_reduce(args) -> int:
-    rs = _parse_type(args.type)
-    try:
-        word = parse_word(rs, args.word)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    comb = reduce_word(rs, word)
+def _cmd_reduce(args, rs) -> int:
+    comb = reduce_word(rs, parse_word(rs, args.word))
     items = sorted(comb.items(), key=lambda kv: (len(kv[0]), kv[0]))
     if args.json:
         print(_dumps({
@@ -112,16 +108,15 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _cmd_tcoeff(args) -> int:
-    lk = build_lk(_parse_type(args.type).dtype.label)
-    beta = _parse_root(lk.rs, args.root)
-    t = lk.t_coeff(_parse_node(lk.rs, args.node), beta)
+def _cmd_tcoeff(args, rs) -> int:
+    lk = build_lk(rs.dtype.label)
+    beta = _parse_root(rs, args.root)
+    t = lk.t_coeff(_parse_node(rs, args.node), beta)
     print(_dumps(t.to_json_dict()) if args.json else repr(t))
     return 0
 
 
-def _cmd_hbeta(args) -> int:
-    rs = _parse_type(args.type)
+def _cmd_hbeta(args, rs) -> int:
     beta = _parse_root(rs, args.root)
     node = _parse_node(rs, args.node)
     try:
@@ -132,22 +127,17 @@ def _cmd_hbeta(args) -> int:
     return 0
 
 
-def _cmd_matrices(args) -> int:
-    rs = _parse_type(args.type)
+def _cmd_matrices(args, rs) -> int:
     if args.r is not None and args.theta is None:
         raise UsageError("--r needs --theta lk")
     if args.theta is None:
         rep = build_lk(rs.dtype.label)
-        zero = HeckeElement.zero(rs, rep.c_set)
         builders = {"sigma": rep.sigma, "e": rep.e_matrix}
     else:
         r = Scalar.m() if args.r is None else Scalar.from_fraction(_parse_fraction(args.r))
-        try:
-            rep = CharacterSpecialization(rs, Scalar.l(1), r)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        zero = Scalar.zero()
+        rep = CharacterSpecialization(rs, Scalar.l(1), r)
         builders = {"gamma": rep.sigma}
+    zero = rep.zero()
     payload = {"type": rs.dtype.label, "size": rep.size}
     for key, build in builders.items():
         payload[key] = {str(i): build(i).to_json_columns(lambda v: (v or zero).to_json_dict())
@@ -171,13 +161,9 @@ def _parse_specialize(text: str) -> tuple[Fraction, Fraction]:
     return _parse_fraction(parts["l"]), _parse_fraction(parts["r"])
 
 
-def _cmd_verify(args) -> int:
-    rs = _parse_type(args.type)
+def _cmd_verify(args, rs) -> int:
     point = None if args.specialize is None else _parse_specialize(args.specialize)
-    try:
-        report = run_suite(args.suite, rs.dtype.label, point)
-    except UnsupportedModeError as exc:
-        raise UsageError(str(exc)) from exc
+    report = run_suite(args.suite, rs.dtype.label, point)
     if args.json:
         print(_dumps(report.to_json_dict()))
     else:
@@ -185,8 +171,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_dims(args) -> int:
-    rs = _parse_type(args.type)
+def _cmd_dims(args, rs) -> int:
     report = dims_report(rs.dtype.label)
     if args.json:
         print(_dumps(report))
@@ -208,49 +193,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact BMW algebra and Lawrence-Krammer computations for ADE types.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    typed = argparse.ArgumentParser(add_help=False)
+    typed.add_argument("--type", required=True)
 
-    p = sub.add_parser("roots", help="positive roots, highest root, and the node set C")
-    p.add_argument("--type", required=True)
+    p = sub.add_parser("roots", parents=[typed],
+                       help="positive roots, highest root, and the node set C")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_roots)
 
-    p = sub.add_parser("reduce", help="rewrite a word over g<i>/G<i>/e<i>")
-    p.add_argument("--type", required=True)
+    p = sub.add_parser("reduce", parents=[typed], help="rewrite a word over g<i>/G<i>/e<i>")
     p.add_argument("--word", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_reduce)
 
-    p = sub.add_parser("tcoeff", help="the coefficient T_{i,beta}")
-    p.add_argument("--type", required=True)
+    p = sub.add_parser("tcoeff", parents=[typed], help="the coefficient T_{i,beta}")
     p.add_argument("--node", required=True)
     p.add_argument("--root", required=True, help="comma-separated coefficients")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_tcoeff)
 
-    p = sub.add_parser("hbeta", help="the node with h_{beta,i} = z_j")
-    p.add_argument("--type", required=True)
+    p = sub.add_parser("hbeta", parents=[typed], help="the node with h_{beta,i} = z_j")
     p.add_argument("--root", required=True)
     p.add_argument("--node", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_hbeta)
 
-    p = sub.add_parser("matrices", help="representation matrices, generic or through a character")
-    p.add_argument("--type", required=True)
+    p = sub.add_parser("matrices", parents=[typed],
+                       help="representation matrices, generic or through a character")
     p.add_argument("--theta", choices=["lk"], default=None)
     p.add_argument("--r", default=None, help="rational value for r (with --theta lk)")
     p.add_argument("--json", nargs="?", const=True, default=True,
                    metavar="PATH", help="write JSON to PATH instead of stdout")
     p.set_defaults(fn=_cmd_matrices)
 
-    p = sub.add_parser("verify", help="run a relation suite")
-    p.add_argument("--type", required=True)
+    p = sub.add_parser("verify", parents=[typed], help="run a relation suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--specialize", default=None, help="l=<rat>,r=<rat>")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("dims", help="dimension formulas")
-    p.add_argument("--type", required=True)
+    p = sub.add_parser("dims", parents=[typed], help="dimension formulas")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_dims)
 
@@ -269,7 +251,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = args.fn(args)
+        code = args.fn(args, _parse_type(args.type))
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -277,7 +259,7 @@ def main(argv=None) -> int:
         # end like a writer killed by SIGPIPE, without a message at shutdown
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except UsageError as exc:
+    except (UsageError, UnsupportedModeError, WordParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"hint: see `bmwade {args.command} --help`", file=sys.stderr)
         return 2

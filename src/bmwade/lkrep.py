@@ -42,8 +42,12 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .hecke import HeckeElement, ParabolicError, _left_mul, _right_mul, eval_signed_word
-from .rootsys import Root, RootSystem, build_type
+from .rootsys import DynkinType, Root, RootSystem, build_type
 from .scalar import Scalar, x_value
+
+
+class UnsupportedModeError(ValueError):
+    """A request outside what a coefficient ring computes."""
 
 
 class SparseMatrix:
@@ -425,9 +429,9 @@ class CharacterSpecialization(LKRepresentation):
             l, r, one = Fraction(l), Fraction(r), Fraction(1)
             self.matrix = RationalMatrix
         if not l:
-            raise ValueError("l must be nonzero")
+            raise UnsupportedModeError("l must be nonzero")
         if not r:
-            raise ValueError("r must be nonzero")
+            raise UnsupportedModeError("r must be nonzero")
         super().__init__(rs)
         self._one, self._zero = one, one - one
         self.l, self.r = l, r
@@ -486,4 +490,10 @@ def _closed_form_eval(rs: RootSystem, i: int, s_word, d_b_word, d_ai_word) -> di
 
 @lru_cache(maxsize=None)
 def build_lk(label: str) -> LawrenceKrammer:
+    """The generic representation; on E8 and above rank 8 only the character finishes."""
+    dtype = DynkinType.parse(label)
+    if dtype.rank > 8 or dtype.label == "E8":
+        raise UnsupportedModeError(
+            f"generic mode covers rank <= 8 except E8; use specialized mode for {label}"
+            " (verify --specialize, matrices --theta lk)")
     return LawrenceKrammer(build_type(label))

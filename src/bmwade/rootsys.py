@@ -43,6 +43,7 @@ from operator import add, getitem
 
 Root = tuple  # tuple[int, ...] over the simple roots
 Weyl = tuple  # tuple[int, ...] root indices of the images of the simple roots
+MAX_RANK = 100  # refuse a huge rank up front instead of running out of memory building it
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ class DynkinType:
         )
         if not ok:
             raise ValueError(f"not a simply laced spherical type: {self.family}{self.rank}")
+        if self.rank > MAX_RANK:
+            raise ValueError(f"rank {self.rank} is above {MAX_RANK}, the largest rank bmwade builds")
 
     @staticmethod
     def parse(label: str) -> DynkinType:

@@ -29,6 +29,7 @@ from .lkrep import (
     LawrenceKrammer,
     LKRepresentation,
     SparseMatrix,
+    UnsupportedModeError,
     build_lk,
 )
 from .rootsys import DynkinType, build_type, enumerate_parabolic, parabolic_order
@@ -39,10 +40,6 @@ SUITE_NAMES = ("braid", "essential", "eiproj", "table1", "zaction", "tau_monoid"
 DEFAULT_L0 = Fraction(5, 7)
 DEFAULT_R0 = Fraction(3, 2)
 POINT_SEED = 20260801
-
-
-class UnsupportedModeError(ValueError):
-    pass
 
 
 @dataclass
@@ -363,10 +360,6 @@ def run_suite(suite: str, type_label: str, point=None) -> SuiteReport:
     if suite != "all" and suite not in SUITE_NAMES:
         raise UnsupportedModeError(f"unknown suite {suite!r}")
     if point is None:
-        dtype = DynkinType.parse(type_label)
-        if dtype.rank > 8 or dtype.label == "E8":
-            raise UnsupportedModeError(
-                f"generic mode covers rank <= 8 except E8; use specialized mode for {type_label}")
         rep = build_lk(type_label)
         mode_label = "generic"
     else:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -311,3 +312,123 @@ def test_output_bytes_are_pinned(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+HELP_USAGE = {
+    "roots": "usage: bmwade roots [-h] --type TYPE [--json]",
+    "reduce": "usage: bmwade reduce [-h] --type TYPE --word WORD [--json]",
+    "tcoeff": "usage: bmwade tcoeff [-h] --type TYPE --node NODE --root ROOT [--json]",
+    "hbeta": "usage: bmwade hbeta [-h] --type TYPE --root ROOT --node NODE [--json]",
+    "matrices": "usage: bmwade matrices [-h] --type TYPE [--theta {lk}] [--r R] [--json [PATH]]",
+    "verify": "usage: bmwade verify [-h] --type TYPE --suite SUITE [--specialize SPECIALIZE] [--json]",
+    "dims": "usage: bmwade dims [-h] --type TYPE [--json]",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_USAGE))
+def test_help_usage_line_is_pinned(capsys, monkeypatch, command):
+    # the option order of each subcommand, --type first, on one unwrapped line
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, err = run(capsys, command, "-h")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == HELP_USAGE[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "--type", "A99999999999"),
+    ("dims", "--type", "D99999999999"),
+    ("roots", "--type", "A101"),
+])
+def test_rank_above_the_bound_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    rank = argv[-1][1:]
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: rank {rank} is above 100, the largest rank bmwade builds"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("tcoeff", "--type", "E8", "--node", "1", "--root", "1,0,1,0,0,0,0,0"),
+    ("tcoeff", "--type", "A9", "--node", "1", "--root", "1,0,0,0,0,0,0,0,0"),
+    ("matrices", "--type", "E8"),
+    ("matrices", "--type", "D9", "--json"),
+    ("verify", "--type", "A9", "--suite", "braid"),
+])
+def test_generic_t_beyond_its_reach_is_usage_error(capsys, argv):
+    # build_lk refuses before any T coefficient is computed
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    first = err.splitlines()[0]
+    assert first.startswith("error: generic mode covers rank <= 8 except E8")
+    assert "--specialize" in first and "--theta lk" in first
+
+
+# -- a seeded fuzzer over the argument grammar ---------------------------------
+
+FUZZ_SEED = 20261019
+FUZZ_COMMANDS = ("roots", "reduce", "tcoeff", "hbeta", "matrices", "verify", "dims", "frobnicate")
+FUZZ_TYPES = ("A1", "A2", "A3", "A4", "D4", "E6",
+              "", "X9", "A0", "D3", "E9", "A³", "A３", "A101", "A99999999999", "E8")
+FUZZ_PARTS = ("0", "1", "2", "3", "", "-1", "１", "²", "01", "002")
+FUZZ_ROOTS = ("1", "1,1", "1,1,1", "0,1,1", "1,1,1,1", "1,2,1,1", "0,1,1,1,1,0", "1,2,2,3,2,1")
+FUZZ_RATIONALS = ("5/7", "3/2", "-2/5", "2", "1", "-1", "0", "-0", "1/0", "nan", "inf", "５/7")
+FUZZ_SUITES = ("braid", "table1", "tau_monoid", "a2dim", "", "nonsense")
+FUZZ_LETTERS = ("g1", "G2", "e1", "e2", "g3", "g0", "g9", "e²", "g１", "x1", "G")
+GENERIC_T = ("tcoeff", "matrices", "verify")
+
+
+def _fuzz_root(rng):
+    if rng.random() < 0.5:
+        return rng.choice(FUZZ_ROOTS)
+    return ",".join(rng.choice(FUZZ_PARTS) for _ in range(rng.randint(0, 6)))
+
+
+def _fuzz_specialize(rng):
+    l0, r0 = rng.choice(FUZZ_RATIONALS), rng.choice(FUZZ_RATIONALS)
+    return rng.choice((
+        f"l={l0},r={r0}", f"r={r0},l={l0}", f"l={l0},r={r0},r=2", f"l{l0},r={r0}", f"l={l0}", "",
+    ))
+
+
+def _fuzz_argv(rng):
+    """One argument list; valid work stays cheap: rank <= 6 and no essential or all suite."""
+    command = rng.choice(FUZZ_COMMANDS)
+    label = rng.choice(FUZZ_TYPES)
+    if label == "E8" and command not in GENERIC_T:
+        label = "E6"
+    opts = {"--type": label}
+    if command == "reduce":
+        opts["--word"] = " ".join(rng.choice(FUZZ_LETTERS) for _ in range(rng.randint(0, 4)))
+    if command in ("tcoeff", "hbeta"):
+        opts["--node"] = rng.choice(FUZZ_PARTS)
+        opts["--root"] = _fuzz_root(rng)
+    if command == "matrices" and label != "E8" and rng.random() < 0.5:
+        opts["--theta"] = "lk"
+        if rng.random() < 0.7:
+            opts["--r"] = rng.choice(FUZZ_RATIONALS)
+    elif command == "matrices" and rng.random() < 0.2:
+        opts["--r"] = rng.choice(FUZZ_RATIONALS)
+    if command == "verify":
+        opts["--suite"] = rng.choice(FUZZ_SUITES)
+        if label != "E8" and rng.random() < 0.5:
+            opts["--specialize"] = _fuzz_specialize(rng)
+    argv = [command]
+    for key, value in opts.items():
+        if rng.random() < 0.95:
+            argv += [key, value]
+    if command != "matrices" and rng.random() < 0.3:
+        argv.append("--json")
+    if rng.random() < 0.05:
+        argv.append("--bogus")
+    return argv
+
+
+def test_seeded_cli_fuzz(capsys):
+    rng = random.Random(FUZZ_SEED)
+    failures = []
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        code, out, err = run(capsys, *argv)
+        if code not in (0, 1, 2) or "error: internal" in err or (code == 2 and out):
+            failures.append((argv, code, err.splitlines()[:1]))
+    assert not failures, failures

@@ -4,7 +4,13 @@ from math import gcd
 
 import pytest
 
-from bmwade.lkrep import CharacterSpecialization, RationalMatrix, SparseMatrix, build_lk
+from bmwade.lkrep import (
+    CharacterSpecialization,
+    RationalMatrix,
+    SparseMatrix,
+    UnsupportedModeError,
+    build_lk,
+)
 from bmwade.scalar import Scalar, ScalarDomainError, x_value
 
 M = Scalar.m()
@@ -174,11 +180,12 @@ def test_character_route_equals_specialized_generic(label):
 
 def test_character_rejects_degenerate_points():
     lk = build_lk("A2")
-    with pytest.raises(ValueError):
+    # the ring owns its point: a refusal the CLI maps to exit 2
+    with pytest.raises(UnsupportedModeError, match="l must be nonzero"):
         CharacterSpecialization(lk.rs, 0, Fraction(3, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedModeError, match="r must be nonzero"):
         CharacterSpecialization(lk.rs, Fraction(5, 7), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedModeError, match="r must be nonzero"):
         _character(lk, 0)
     # r = 1 gives m = 0: sigma exists, only x and l/m do not (run_suite
     # rejects the point, see test_verify)

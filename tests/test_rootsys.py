@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from bmwade.rootsys import (
+    MAX_RANK,
     DynkinType,
     RootSystem,
     build_type,
@@ -33,9 +34,10 @@ def test_census(label):
 
 
 def test_invalid_types():
-    for label in ("X9", "D3", "E9", "A0", "E5"):
+    for label in ("X9", "D3", "E9", "A0", "E5", "A101", "D101", "A99999999999"):
         with pytest.raises(ValueError):
             DynkinType.parse(label) and build_type(label)
+    assert DynkinType.parse("A100").rank == MAX_RANK
 
 
 def brute_force_roots(rs):

@@ -44,6 +44,14 @@ def test_generic_mode_rejected_for_large_types():
         run_suite("braid", "A9")
     with pytest.raises(UnsupportedModeError):
         run_suite("nonsense", "A2")
+    with pytest.raises(UnsupportedModeError, match="unknown suite"):
+        run_suite("nonsense", "E8")
+    # the rule lives in build_lk, so every caller of the generic ring meets it
+    for label in ("E8", "A9", "D9", "A100"):
+        with pytest.raises(UnsupportedModeError,
+                           match=f"specialized mode for {label} .*--specialize.*--theta lk"):
+            build_lk(label)
+    assert build_lk("A8").rs.n == 8 and build_lk("D8").rs.n == 8
 
 
 @pytest.mark.parametrize("label, suite", [("E6", "braid"), ("E6", "table1"), ("E7", "table1")])
