@@ -12,8 +12,9 @@ reader closes stdout before the output is written.  Exit 2 comes from argparse
 or from the one mapping in ``main``: a ``UsageError`` from the parsers here, a
 ``WordParseError`` from ``parse_word``, or an ``UnsupportedModeError`` from
 the code that refuses the request (``build_lk``, ``CharacterSpecialization``,
-``run_suite``).  Output is deterministic: identical invocations produce
-identical bytes, and JSON output re-serializes to itself.
+``run_suite``, and ``reduce_word`` on a word past the rewrite cap).  Output
+is deterministic: identical invocations produce identical bytes, and JSON
+output re-serializes to itself.
 """
 
 from __future__ import annotations

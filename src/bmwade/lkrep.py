@@ -47,7 +47,7 @@ from .scalar import Scalar, x_value
 
 
 class UnsupportedModeError(ValueError):
-    """A request outside what a coefficient ring computes."""
+    """A refused request: outside what a coefficient ring computes, or past the rewrite cap."""
 
 
 class SparseMatrix:

@@ -249,7 +249,7 @@ _ONE = _make({(0, 0): 1})
 _M = _make({(0, 1): 1})
 
 
-def _poly_str(p: tuple, var: str = "m") -> str:
+def _poly_str(p: tuple) -> str:
     parts = []
     for i, c in enumerate(p):
         if not c:
@@ -257,7 +257,7 @@ def _poly_str(p: tuple, var: str = "m") -> str:
         if i == 0:
             parts.append(str(c))
         else:
-            v = var if i == 1 else f"{var}^{i}"
+            v = "m" if i == 1 else f"m^{i}"
             if c == 1:
                 parts.append(v)
             elif c == -1:

@@ -36,7 +36,6 @@ from .rootsys import DynkinType, build_type, enumerate_parabolic, parabolic_orde
 from .scalar import Scalar
 from .wordalg import reduce_word, rep_image_word
 
-SUITE_NAMES = ("braid", "essential", "eiproj", "table1", "zaction", "tau_monoid")
 DEFAULT_L0 = Fraction(5, 7)
 DEFAULT_R0 = Fraction(3, 2)
 POINT_SEED = 20260801
@@ -344,6 +343,7 @@ _SUITE_FNS = {
     "zaction": _suite_zaction,
     "tau_monoid": _suite_tau,
 }
+SUITE_NAMES = tuple(_SUITE_FNS)
 
 
 def run_suite(suite: str, type_label: str, point=None) -> SuiteReport:

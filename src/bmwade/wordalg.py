@@ -5,14 +5,15 @@ A word is a tuple of letters (node, kind) with kind one of "g" (generator),
 coefficients.  ``reduce_word`` rewrites any input into a combination whose
 words all have length at most |Phi+|:
 
-* inverse letters are eliminated first through g^-1 = g + m - m e;
-* the oriented length-reducing rules are the defining relations (squares,
-  mixed same-index pairs) together with the three-letter identities on
-  adjacent indices (e a e, e e e, e e g, g e e, g g e, e g g windows);
-* to expose a redex, a word is searched breadth-first under the exact
-  length-preserving moves: commutation of letters on non-adjacent nodes,
-  the braid move on g g g windows, and the g e g crossing, which is length
-  preserving up to explicitly tracked shorter side terms.
+* inverse letters are eliminated first through ``_INVERSE``, g^-1 = g + m - m e;
+* a window is shortened by ``_PAIR`` (two letters on one node) or
+  ``_TRIPLE`` (a b a with b adjacent to a: e g e, e e e, e e g, g e e, g g e,
+  e g g), each rule a function of the window's nodes that returns the
+  combination the window equals;
+* to expose such a window, a word is searched breadth-first under the exact
+  length-preserving moves: commutation of letters on non-adjacent nodes and
+  ``_MOVES``, the braid move on g g g and the g e g crossing, whose shorter
+  side terms are tracked.
 
 The rewriting is not confluent and is never used to decide equality; words
 that admit no reachable redex are only normalized to the lexicographically
@@ -20,7 +21,8 @@ least form in their move orbit.  Equality of combinations is decided by
 ``rep_image``, the pair of a Hecke-quotient image (every e goes to zero) and
 the Lawrence-Krammer matrix image, which is invariant under every rule used
 here.  Termination follows from the strictly decreasing (length multiset,
-word) measure; the orbit search is capped and raises if the cap is ever hit.
+word) measure.  The inverse expansion and the orbit search are capped, and a
+word past the cap is refused with ``UnsupportedModeError``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from bisect import insort
 from collections import deque
 
 from .hecke import HeckeElement, walk_prefixes
-from .lkrep import LawrenceKrammer, SparseMatrix
+from .lkrep import LawrenceKrammer, SparseMatrix, UnsupportedModeError
 from .rootsys import RootSystem
 from .scalar import Scalar, x_value
 
@@ -43,6 +45,33 @@ _ONE = Scalar.one()
 _X = x_value()
 
 _SEARCH_CAP = 500_000
+
+# Keys spell the kinds of the window's letters.
+_PAIR = {  # a a
+    "gg": lambda a: {(): _ONE, ((a, "g"),): -_M, ((a, "e"),): _M * _L_INV},
+    "ee": lambda a: {((a, "e"),): _X},
+    "ge": lambda a: {((a, "e"),): _L_INV},
+    "eg": lambda a: {((a, "e"),): _L_INV},
+}
+_TRIPLE = {
+    "ege": lambda a, b: {((a, "e"),): _L},
+    "eee": lambda a, b: {((a, "e"),): _ONE},
+    "eeg": lambda a, b: {((a, "e"), (b, "g")): _ONE, ((a, "e"),): _M, ((a, "e"), (b, "e")): -_M},
+    "gee": lambda a, b: {((b, "g"), (a, "e")): _ONE, ((a, "e"),): _M, ((b, "e"), (a, "e")): -_M},
+    "gge": lambda a, b: {((b, "e"), (a, "e")): _ONE},
+    "egg": lambda a, b: {((a, "e"), (b, "e")): _ONE},
+}
+# The first word is the new window, with coefficient 1; the rest are side terms.
+_MOVES = {
+    "ggg": lambda a, b: {((b, "g"), (a, "g"), (b, "g")): _ONE},
+    "geg": lambda a, b: {
+        ((b, "g"), (a, "e"), (b, "g")): _ONE,
+        ((a, "e"), (b, "g")): _M, ((b, "e"), (a, "g")): -_M,
+        ((b, "g"), (a, "e")): _M, ((a, "g"), (b, "e")): -_M,
+        ((a, "e"),): _M * _M, ((b, "e"),): -(_M * _M),
+    },
+}
+_INVERSE = lambda a: {((a, "g"),): _ONE, (): _M, ((a, "e"),): -_M}  # g^-1 = g + m - m e
 
 
 class WordParseError(ValueError):
@@ -80,104 +109,63 @@ def _combine(acc: dict, word: BmwWord, coeff: Scalar):
 
 
 def _expand_inverses(word: BmwWord) -> dict:
-    """Eliminate G letters via g^-1 = g + m - m e."""
+    """Eliminate G letters through ``_INVERSE``."""
     comb = {(): _ONE}
     for node, kind in word:
         if kind != "G":
             comb = {w + ((node, kind),): c for w, c in comb.items()}
             continue
         out: dict[BmwWord, Scalar] = {}
+        inverse = _INVERSE(node).items()
         for w, c in comb.items():
-            _combine(out, w + ((node, "g"),), c)
-            _combine(out, w, c * _M)
-            _combine(out, w + ((node, "e"),), -(c * _M))
+            for frag, k in inverse:
+                _combine(out, w + frag, c * k)
+            if len(out) > _SEARCH_CAP:
+                raise UnsupportedModeError(
+                    f"inverse expansion cap exceeded on a word of length {len(word)}")
         comb = out
     return comb
 
 
-def _redex_at(rs: RootSystem, word: BmwWord, p: int):
-    """Replacement combination for the window starting at p, if any."""
-    a, ka = word[p]
-    if p + 1 < len(word):
-        b, kb = word[p + 1]
-        if a == b:
-            if ka == "g" and kb == "g":
-                return 2, {(): _ONE, ((a, "g"),): -_M, ((a, "e"),): _M * _L_INV}
-            if ka == "e" and kb == "e":
-                return 2, {((a, "e"),): _X}
-            return 2, {((a, "e"),): _L_INV}
-    if p + 2 < len(word):
-        c, kc = word[p + 2]
-        b, kb = word[p + 1]
-        if a == c and b in rs.neighbors[a]:
-            pat = ka + kb + kc
-            if pat == "ege":
-                return 3, {((a, "e"),): _L}
-            if pat == "eee":
-                return 3, {((a, "e"),): _ONE}
-            if pat == "eeg":
-                return 3, {
-                    ((a, "e"), (b, "g")): _ONE,
-                    ((a, "e"),): _M,
-                    ((a, "e"), (b, "e")): -_M,
-                }
-            if pat == "gee":
-                return 3, {
-                    ((b, "g"), (a, "e")): _ONE,
-                    ((a, "e"),): _M,
-                    ((b, "e"), (a, "e")): -_M,
-                }
-            if pat == "gge":
-                return 3, {((b, "e"), (a, "e")): _ONE}
-            if pat == "egg":
-                return 3, {((a, "e"), (b, "e")): _ONE}
-    return None
-
-
 def _find_redex(rs: RootSystem, word: BmwWord):
-    for p in range(len(word)):
-        hit = _redex_at(rs, word, p)
-        if hit is not None:
-            return p, hit[0], hit[1]
+    """The leftmost window of a G-free word that a rule shortens, as
+    (position, width, combination), else None."""
+    neighbors = rs.neighbors
+    for p in range(len(word) - 1):
+        (a, ka), (b, kb) = word[p], word[p + 1]
+        if a == b:
+            return p, 2, _PAIR[ka + kb](a)
+        if p + 2 < len(word) and word[p + 2][0] == a and b in neighbors[a]:
+            rule = _TRIPLE.get(ka + kb + word[p + 2][1])
+            if rule is not None:
+                return p, 3, rule(a, b)
     return None
 
 
 def _neighbors(rs: RootSystem, word: BmwWord):
-    """Exact length-preserving moves; c-moves carry their side terms."""
+    """Exact length-preserving moves; the ``_MOVES`` ones carry their side terms."""
     for p in range(len(word) - 1):
         a, _ = word[p]
         b, _ = word[p + 1]
         if a != b and b not in rs.neighbors[a]:
             yield word[:p] + (word[p + 1], word[p]) + word[p + 2 :], ()
     for p in range(len(word) - 2):
-        a, ka = word[p]
-        b, kb = word[p + 1]
-        c, kc = word[p + 2]
+        (a, ka), (b, kb), (c, kc) = word[p : p + 3]
         if a != c or b not in rs.neighbors[a]:
             continue
-        if ka == kb == kc == "g":
-            yield word[:p] + ((b, "g"), (a, "g"), (b, "g")) + word[p + 3 :], ()
-        elif ka == "g" and kb == "e" and kc == "g":
-            # g_a e_b g_a = g_b e_a g_b + m(e_a g_b - e_b g_a + g_b e_a - g_a e_b)
-            #             + m^2 (e_a - e_b)
-            main = word[:p] + ((b, "g"), (a, "e"), (b, "g")) + word[p + 3 :]
-            side = (
-                (word[:p] + ((a, "e"), (b, "g")) + word[p + 3 :], _M),
-                (word[:p] + ((b, "e"), (a, "g")) + word[p + 3 :], -_M),
-                (word[:p] + ((b, "g"), (a, "e")) + word[p + 3 :], _M),
-                (word[:p] + ((a, "g"), (b, "e")) + word[p + 3 :], -_M),
-                (word[:p] + ((a, "e"),) + word[p + 3 :], _M * _M),
-                (word[:p] + ((b, "e"),) + word[p + 3 :], -(_M * _M)),
-            )
-            yield main, side
+        move = _MOVES.get(ka + kb + kc)
+        if move is not None:
+            head, tail = word[:p], word[p + 3 :]
+            (window, _), *side = move(a, b).items()
+            yield head + window + tail, tuple((head + w + tail, k) for w, k in side)
 
 
 def _search(rs: RootSystem, word: BmwWord):
     """Explore the move orbit of a word.
 
     Returns ("redex", found_word, window, side) when some reachable word has
-    a reducible window, else ("canonical", least_word, side); ``side`` lists
-    the (word, coeff) debts of the c-moves used to reach the result.
+    a reducible window, else ("canonical", least_word, None, side); ``side``
+    lists the (word, coeff) side terms of the ``_MOVES`` used to reach it.
     """
     start = (word, ())
     seen = {word: ()}
@@ -188,7 +176,7 @@ def _search(rs: RootSystem, word: BmwWord):
         if hit is not None:
             return "redex", cur, hit, side
         if len(seen) > _SEARCH_CAP:
-            raise RuntimeError(f"orbit search cap exceeded on a word of length {len(cur)}")
+            raise UnsupportedModeError(f"orbit search cap exceeded on a word of length {len(cur)}")
         for nxt, extra in _neighbors(rs, cur):
             if nxt not in seen:
                 nset = side + extra

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import bmwade
+from bmwade import wordalg
 from bmwade.cli import main
 
 
@@ -88,6 +89,17 @@ def test_reduce_and_hbeta_and_tcoeff(capsys):
 def test_reduce_bad_word_is_usage_error(capsys):
     code, _, err = run(capsys, "reduce", "--type", "A2", "--word", "g9")
     assert code == 2
+
+
+@pytest.mark.parametrize("label,word,message", [
+    ("A9", "g1 g3 g5 g7", "orbit search cap"),  # 24 commuting orderings
+    ("A2", "G1 G2 G1", "inverse expansion cap"),  # 27 words after g^-1 = g + m - m e
+])
+def test_reduce_past_the_rewrite_cap_is_refused(capsys, monkeypatch, label, word, message):
+    monkeypatch.setattr(wordalg, "_SEARCH_CAP", 20)
+    code, out, err = run(capsys, "reduce", "--type", label, "--word", word)
+    assert code == 2 and out == ""
+    assert message in err and "internal" not in err
 
 
 def test_hbeta_invalid_pairing_is_usage_error(capsys):

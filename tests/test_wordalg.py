@@ -7,6 +7,10 @@ from bmwade.lkrep import SparseMatrix, build_lk
 from bmwade.rootsys import build_type
 from bmwade.scalar import Scalar, x_value
 from bmwade.wordalg import (
+    _INVERSE,
+    _MOVES,
+    _PAIR,
+    _TRIPLE,
     WordParseError,
     parse_word,
     reduce_word,
@@ -105,6 +109,30 @@ def test_rewrite_soundness_sampled(label, n_words, seed):
         comb = reduce_word(rs, word)
         assert all(len(w) <= bound for w in comb)
         assert rep_image(lk, {word: Scalar.one()}) == rep_image(lk, comb)
+
+
+def _rule_windows(rs):
+    """Every rule at every window: (left side, right-hand combination)."""
+    for a in rs.nodes:
+        yield ((a, "G"),), _INVERSE(a)
+        for kinds, rule in _PAIR.items():
+            yield tuple(zip((a, a), kinds)), rule(a)
+        for b in rs.neighbors[a]:
+            for kinds, rule in (*_TRIPLE.items(), *_MOVES.items()):
+                yield tuple(zip((a, b, a), kinds)), rule(a, b)
+
+
+@pytest.mark.parametrize("label,n_windows", [("A2", 26), ("A3", 47), ("D4", 68)])
+def test_each_rule_is_an_identity(label, n_windows):
+    lk = build_lk(label)
+    windows = list(_rule_windows(lk.rs))
+    assert len(windows) == n_windows
+    for lhs, rhs in windows:
+        image = rep_image_word(lk, lhs)
+        assert image == rep_image(lk, rhs), lhs
+        # negative control: the images see every coefficient of the rule
+        for w in rhs:
+            assert image != rep_image(lk, {**rhs, w: rhs[w] + Scalar.one()}), (lhs, w)
 
 
 def test_reduction_is_deterministic():
