@@ -101,8 +101,7 @@ def _right_mul(rs: RootSystem, terms: dict, word, inverse: bool = False) -> dict
 def _left_mul(rs: RootSystem, terms: dict, word, inverse: bool = False) -> dict:
     """Terms of z_j, or z_j^-1, times (sum c T_w), for each j of word in turn."""
     for j in word:
-        terms = _letter(terms, lambda w: (rs.left_mul_simple(j, w), rs.left_descent(j, w)),
-                        inverse)
+        terms = _letter(terms, rs.left_move(j), inverse)
     return terms
 
 

@@ -15,9 +15,11 @@ Scalars in l and r).  The module computes, for a fixed ADE root system:
   step, and two adjacent-node steps.  ``steps`` yields every admissible
   step; the recursion takes the first, and the choice-independence checks
   of ``verify`` compare them all.  The closed form is evaluated as a
-  signed Artin word in the full-type Hecke algebra and then projected onto
-  the C-parabolic; a projection failure would falsify the theory (or a
-  convention) and is a hard error, never silently repaired;
+  signed Artin word in the full-type Hecke algebra, positive letters on the
+  right first (they collapse to two terms) and then inverse letters on the
+  left, and then projected onto the C-parabolic; a projection failure
+  would falsify the theory (or a convention) and is a hard error, never
+  silently repaired;
 * the representation matrices sigma_i = tau_i + l^-1 T_i on the free right
   module with basis x_beta indexed by the positive roots, together with the
   derived f_i = sigma_i^2 + m sigma_i - 1 and e_i = (l/m) f_i;
@@ -387,10 +389,9 @@ class LawrenceKrammer(LKRepresentation):
         """m * (d_{alpha_i}^-1 s_beta^-1 s_i s_beta d_beta) in the C-parabolic.
 
         The word is evaluated in the Hecke algebra of the full type (inverse
-        letters contribute z + m) and the result is projected onto the
-        C-parabolic.  The product is assembled as a conjugation followed by
-        one-sided letter multiplications, which keeps intermediate supports
-        small.
+        letters contribute z + m), its positive letters on the right and then
+        its inverse letters on the left, and the result is projected onto the
+        C-parabolic.
         """
         rs = self.rs
         raw = _closed_form_eval(
@@ -476,16 +477,15 @@ class CharacterSpecialization(LKRepresentation):
 def _closed_form_eval(rs: RootSystem, i: int, s_word, d_b_word, d_ai_word) -> dict:
     """Full-type Hecke terms of d_{alpha_i}^-1 s_beta^-1 s_i s_beta d_beta.
 
-    Three phases: conjugate z_i letterwise through s_beta, right-multiply
-    by the d_beta letters, left-multiply by the inverses of the d_{alpha_i}
-    letters.  A left inverse letter z_j + m collapses T_w to T_{jw} whenever
-    j is a left descent of w, which is where the cancellation lives.
+    Right then left (the product is associative): z_i times the letters of
+    s_beta and then of d_beta collapses to two terms, and the inverse letters
+    of s_beta and then of d_{alpha_i} multiply those on the left.  Above
+    height two, no support on the way exceeds the result's (checked on
+    A3, A5, A8, D4-D8, E6, E7 and E8 to height 14).
     """
     terms = HeckeElement.generator(rs, frozenset(rs.nodes), i).terms
-    for a in s_word:
-        terms = _left_mul(rs, _right_mul(rs, terms, (a,)), (a,), inverse=True)
-    terms = _right_mul(rs, terms, d_b_word)
-    return _left_mul(rs, terms, d_ai_word, inverse=True)
+    terms = _right_mul(rs, terms, s_word + d_b_word)
+    return _left_mul(rs, terms, s_word + d_ai_word, inverse=True)
 
 
 @lru_cache(maxsize=None)

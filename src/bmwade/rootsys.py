@@ -37,7 +37,7 @@ Root systems are immutable after construction and all queries are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from operator import add, getitem
 
@@ -46,21 +46,20 @@ Weyl = tuple  # tuple[int, ...] root indices of the images of the simple roots
 MAX_RANK = 100  # refuse a huge rank up front instead of running out of memory building it
 
 
-@dataclass(frozen=True)
-class DynkinType:
-    family: str
-    rank: int
+class DynkinType(namedtuple("DynkinType", "family rank")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, family: str, rank: int):
         ok = (
-            (self.family == "A" and self.rank >= 1)
-            or (self.family == "D" and self.rank >= 4)
-            or (self.family == "E" and self.rank in (6, 7, 8))
+            (family == "A" and rank >= 1)
+            or (family == "D" and rank >= 4)
+            or (family == "E" and rank in (6, 7, 8))
         )
         if not ok:
-            raise ValueError(f"not a simply laced spherical type: {self.family}{self.rank}")
-        if self.rank > MAX_RANK:
-            raise ValueError(f"rank {self.rank} is above {MAX_RANK}, the largest rank bmwade builds")
+            raise ValueError(f"not a simply laced spherical type: {family}{rank}")
+        if rank > MAX_RANK:
+            raise ValueError(f"rank {rank} is above {MAX_RANK}, the largest rank bmwade builds")
+        return super().__new__(cls, family, rank)
 
     @staticmethod
     def parse(label: str) -> DynkinType:
@@ -284,6 +283,12 @@ class RootSystem:
         with 2 rho the sum of the positive roots, read from j's tables.
         """
         return sum(map(getitem, self._left_tables[j][1], w)) < 0
+
+    def left_move(self, j: int):
+        """The map w -> (r_j w, whether j is a left descent of w), bound to j's
+        tables: one call per element in place of the two methods above."""
+        perm, rows = self._left_tables[j]
+        return lambda w: (tuple([perm[k] for k in w]), sum(map(getitem, rows, w)) < 0)
 
     def invert(self, w: Weyl) -> Weyl:
         return self.word_element(tuple(reversed(self.reduced_word(w))))

@@ -5,6 +5,8 @@ of the standard library, so the package runs on a bare interpreter.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +35,16 @@ def test_every_import_is_relative_or_standard_library():
             if top != "bmwade" and top not in sys.stdlib_module_names:
                 outside.append(f"{path.name}:{lineno}: {name}")
     assert outside == []
+
+
+def test_lkrep_loads_only_what_it_uses():
+    # the package root re-exports nothing, and DynkinType needs no dataclasses
+    # (which would pull in inspect), so importing the T recursion loads neither
+    # the checks nor the word rewriting
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, bmwade.lkrep; print(*sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert "bmwade.lkrep" in loaded
+    assert loaded.isdisjoint({"dataclasses", "bmwade.verify", "bmwade.wordalg"})

@@ -3,8 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from bmwade.hecke import HeckeElement, ParabolicError, _left_mul, eval_signed_word, in_parabolic
-from bmwade.lkrep import LawrenceKrammer, build_lk
+from bmwade.hecke import (
+    HeckeElement,
+    ParabolicError,
+    _left_mul,
+    _right_mul,
+    eval_signed_word,
+    in_parabolic,
+)
+from bmwade.lkrep import LawrenceKrammer, _closed_form_eval, build_lk
 from bmwade.rootsys import build_type, enumerate_parabolic, parabolic_order
 from bmwade.scalar import Scalar
 
@@ -129,8 +136,9 @@ def test_projection():
 @pytest.mark.parametrize("label", ["A3", "A4", "D4", "A5"])
 def test_closed_form_equals_left_to_right_evaluation(label):
     # m d_{a_i}^-1 s_b^-1 s_i s_b d_b lands in the C-parabolic for every valid
-    # pair; t_closed_form conjugates and then multiplies one side at a time,
-    # and the reference is the plain left-to-right product of the whole word
+    # pair; t_closed_form multiplies the positive letters on the right and then
+    # the inverse letters on the left, and the reference is the plain
+    # left-to-right product of the whole word
     lk = build_lk(label)
     rs = lk.rs
     P = full_parent(rs)
@@ -145,6 +153,31 @@ def test_closed_form_equals_left_to_right_evaluation(label):
             direct = eval_signed_word(rs, P, signed).scale(M).project_subalgebra(rs.c_nodes)
             t = lk.t_closed_form(i, beta)
             assert t.parent == frozenset(rs.c_nodes) and t == direct
+
+
+def _conjugation_first(rs, i, s_word, d_b_word, d_ai_word):
+    """The closed form as z_a^-1 (. ) z_a for each letter a of s_beta in turn,
+    then the d_beta letters on the right and the d_{alpha_i} inverses on the left."""
+    terms = HeckeElement.generator(rs, full_parent(rs), i).terms
+    for a in s_word:
+        terms = _left_mul(rs, _right_mul(rs, terms, (a,)), (a,), inverse=True)
+    terms = _right_mul(rs, terms, d_b_word)
+    return _left_mul(rs, terms, d_ai_word, inverse=True)
+
+
+@pytest.mark.parametrize("label", ["D5", "D6", "E6"])
+def test_closed_form_equals_conjugation_first_evaluation(label):
+    rs = build_type(label)
+    pairs = 0
+    for beta in rs.positive_roots:
+        for i in rs.nodes:
+            if rs.pairing_simple(i, beta) != 1:
+                continue
+            args = (rs, i, rs.s_beta_word(beta), rs.d_beta_word(beta),
+                    rs.d_beta_word(rs.alpha(i)))
+            assert _closed_form_eval(*args) == _conjugation_first(*args)
+            pairs += 1
+    assert pairs == {"D5": 30, "D6": 48, "E6": 60}[label]
 
 
 def test_closed_form_projection_failure_names_the_pair():

@@ -129,6 +129,8 @@ def test_left_descent_is_a_length_drop(label):
             assert left == rs.compose(rj, w)
             assert right == rs.compose(w, rj)
             assert rs.left_descent(j, w) == (rs.weyl_length(left) < length)
+            # the one-call left step of the Hecke kernel
+            assert rs.left_move(j)(w) == (left, rs.left_descent(j, w))
             # the right-descent test of HeckeElement.mul_generator
             assert (w[j - 1] >= rs.n_pos) == (rs.weyl_length(right) < length)
 
