@@ -20,9 +20,10 @@ that admit no reachable redex are only normalized to the lexicographically
 least form in their move orbit.  Equality of combinations is decided by
 ``rep_image``, the pair of a Hecke-quotient image (every e goes to zero) and
 the Lawrence-Krammer matrix image, which is invariant under every rule used
-here.  Termination follows from the strictly decreasing (length multiset,
-word) measure.  The inverse expansion and the orbit search are capped, and a
-word past the cap is refused with ``UnsupportedModeError``.
+here.  Past a word's first e its matrix image is one column times one row.
+Termination follows from the strictly decreasing (length multiset, word)
+measure.  The inverse expansion and the orbit search are capped, and a word
+past the cap is refused with ``UnsupportedModeError``.
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ _INVERSE = lambda a: {((a, "g"),): _ONE, (): _M, ((a, "e"),): -_M}  # g^-1 = g +
 
 class WordParseError(ValueError):
     pass
+
+
+class EMatrixShapeError(ArithmeticError):
+    """An e_i matrix with an entry off row alpha_i, which ``rep_image`` relies on."""
 
 
 def parse_word(rs: RootSystem, text: str) -> BmwWord:
@@ -220,22 +225,57 @@ def rep_image_word(lk: LawrenceKrammer, word: BmwWord) -> tuple[HeckeElement, Sp
     return rep_image(lk, {word: _ONE})
 
 
+def _row_times(row: dict, mat: SparseMatrix) -> dict:
+    """The row vector row * mat, left entries first and without zero entries."""
+    out = {}
+    for c, col in mat.cols.items():
+        prods = [row[r] * v for r, v in col.items() if r in row]
+        if prods and (total := sum(prods[1:], prods[0])):
+            out[c] = total
+    return out
+
+
 def rep_image(lk: LawrenceKrammer, comb: dict) -> tuple[HeckeElement, SparseMatrix]:
     """Linear extension of the image pair to a combination: each distinct prefix
-    is multiplied once (``walk_prefixes``), and scaled images add into one dict."""
+    is multiplied once (``walk_prefixes``), and scaled images add into one dict.
+
+    From a word's first e_i on, its matrix is a (column, row) pair: the prefix
+    matrix's column alpha_i, and e_i's row alpha_i carried through the later
+    letters as a row vector.  This is exact because e_i's matrix has that single
+    nonzero row (``eiproj`` pins it; any other entry raises ``EMatrixShapeError``).
+    Scalars are central, so rows sharing a column are summed, then multiplied out.
+    """
     rs, full = lk.rs, lk.full_set
 
     def step(image, letter):
         (h, mat), (node, kind) = image, letter
         h = HeckeElement.zero(rs, full) if kind == "e" else h.mul_generator(node, kind == "G")
         right = {"g": lk.sigma, "G": lk.sigma_inv, "e": lk.e_matrix}[kind](node)
+        if type(mat) is tuple:
+            return h, (mat[0], _row_times(mat[1], right))
+        if kind == "e":
+            a = rs.root_index[rs.alpha(node)]
+            if any(col.keys() != {a} for col in right.cols.values()):
+                raise EMatrixShapeError(f"e_{node} has an entry off row alpha_{node}")
+            col = {a: lk.unit()} if mat is None else mat.column(a)
+            return h, (col, {c: e_col[a] for c, e_col in right.cols.items()})
         return h, right if mat is None else mat * right
 
-    hecke, cols = HeckeElement.zero(rs, full), {}
+    hecke, cols, rows = HeckeElement.zero(rs, full), {}, {}
     for coeff, (h, mat) in walk_prefixes(comb.items(), (HeckeElement.unit(rs, full), None), step):
         hecke = hecke + h.scale(coeff)
+        if type(mat) is tuple:  # one column object per prefix up to the first e
+            acc = rows.setdefault(id(mat[0]), (mat[0], {}))[1]
+            for c, v in mat[1].items():
+                _combine(acc, c, v.scale(coeff))
+            continue
         for c, col in (lk.identity_matrix() if mat is None else mat).cols.items():
             tgt = cols.setdefault(c, {})
             for r, v in col.items():
                 _combine(tgt, r, v.scale(coeff))
+    for col, row in rows.values():
+        for c, v in row.items():
+            tgt = cols.setdefault(c, {})
+            for r, u in col.items():
+                _combine(tgt, r, u * v)
     return hecke, SparseMatrix(lk.size, cols)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bmwade.hecke import HeckeElement, eval_signed_word
-from bmwade.lkrep import SparseMatrix, build_lk
+from bmwade.lkrep import LawrenceKrammer, SparseMatrix, build_lk
 from bmwade.rootsys import build_type
 from bmwade.scalar import Scalar, x_value
 from bmwade.wordalg import (
@@ -11,6 +11,7 @@ from bmwade.wordalg import (
     _MOVES,
     _PAIR,
     _TRIPLE,
+    EMatrixShapeError,
     WordParseError,
     parse_word,
     reduce_word,
@@ -122,7 +123,9 @@ def _rule_windows(rs):
                 yield tuple(zip((a, b, a), kinds)), rule(a, b)
 
 
-@pytest.mark.parametrize("label,n_windows", [("A2", 26), ("A3", 47), ("D4", 68)])
+# A4 and D5 have a non-commutative H_C, so they see the order of Hecke factors
+@pytest.mark.parametrize("label,n_windows",
+                         [("A2", 26), ("A3", 47), ("D4", 68), ("A4", 68), ("D5", 89)])
 def test_each_rule_is_an_identity(label, n_windows):
     lk = build_lk(label)
     windows = list(_rule_windows(lk.rs))
@@ -159,7 +162,8 @@ def _reference_image(lk, comb):
     return hecke, mat
 
 
-@pytest.mark.parametrize("label", ["A3", "D4"])
+# H_C is commutative on A3 and D4 (H(A1), H(A1^3)) but not on A4 and D5
+@pytest.mark.parametrize("label", ["A3", "D4", "A4", "D5"])
 def test_rep_image_matches_reference(label):
     lk = build_lk(label)
     rs = lk.rs
@@ -178,6 +182,10 @@ def test_rep_image_matches_reference(label):
         w("G2 g1"): -Scalar.one(),
         w("e3 g2 e3"): M * M,
         w("e1"): LINV * M,
+        w("e2 e1 g3"): L,  # starts with e, two e's
+        w("g3 G2 e1 g2"): -M,  # an e right after a G
+        w("g3 G2 e1 e2"): LINV,  # same prefix up to the first e, another tail
+        w("g1 g2 e3 G1 g2"): Scalar.from_fraction(2),  # the word g1 g2 e3, with a tail
     }
     for word in comb:
         assert rep_image_word(lk, word) == _reference_image(lk, {word: Scalar.one()}), word
@@ -196,3 +204,42 @@ def test_rep_image_matches_reference(label):
                 for word in words}
         rand = {word: c for word, c in rand.items() if c}
         assert rep_image(lk, rand) == _reference_image(lk, rand)
+    # the first 25 words of acceptance criterion 8, and their rewritings
+    rng = random.Random(20260810)
+    for _ in range(25):
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 12)))
+        ref = _reference_image(lk, {word: Scalar.one()})
+        assert rep_image_word(lk, word) == ref, word
+        assert rep_image(lk, reduce_word(rs, word)) == ref, word
+
+
+def test_rep_image_refuses_e_off_its_row():
+    lk = LawrenceKrammer(build_type("A3"))  # fresh: the cached build_lk must stay intact
+    e1 = lk.e_matrix(1)
+    a = lk.rs.root_index[lk.rs.alpha(1)]
+    off = next(r for r in range(lk.size) if r != a)
+    e1.cols.setdefault(0, {})[off] = lk.unit()
+    with pytest.raises(EMatrixShapeError):
+        rep_image_word(lk, ((2, "g"), (1, "e")))
+
+
+def test_rep_image_multiplies_no_whole_matrix_after_first_e(monkeypatch):
+    lk = build_lk("D4")
+    rs = lk.rs
+    for i in rs.nodes:  # build the letter matrices before counting
+        lk.sigma_inv(i)
+    calls, mul = [], SparseMatrix.__mul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__mul__", counted)
+    rng = random.Random(3)
+    letters = [(i, k) for i in rs.nodes for k in "gGe"]
+    for _ in range(20):
+        word = ((rng.choice(rs.nodes), "e"),) + tuple(rng.choice(letters) for _ in range(6))
+        rep_image_word(lk, word)
+        assert not calls, word
+    rep_image_word(lk, parse_word(rs, "g1 g2 e3 g1 G2 e4"))
+    assert len(calls) == 1
