@@ -1,4 +1,4 @@
-"""ADE root systems, Weyl group elements, and minimal coset word combinatorics.
+"""ADE root systems, Weyl group elements, and the reduced words the T recursion reads.
 
 Conventions, fixed once and used everywhere downstream:
 
@@ -11,13 +11,7 @@ Conventions, fixed once and used everywhere downstream:
   element w is stored as the tuple of the indices of w(alpha_1), ...,
   w(alpha_n), so multiplying by a simple reflection and testing a descent
   are lookups in tables bounded by the root system and built on first use.
-  Elements compose like operators: ``compose(u, v)`` applies v first.  A
-  word [a, b, c] denotes r_a r_b r_c, with r_c acting first, and
-  ``word_element`` respects that order.
-* ``min_coset_word(beta, i)`` returns a reduced word for the unique shortest
-  element w with w(alpha_i) = beta; for beta = alpha_j it is the geodesic
-  word (p_{t-1} p_t)(p_{t-2} p_{t-1})...(p_0 p_1) along the diagram path
-  p_0 = i, ..., p_t = j, which conjugates r_i to r_j.
+  A word [a, b, c] denotes r_a r_b r_c, with r_c acting first.
 * ``d_beta_word(beta)`` is a reduced word for the inverse of the shortest
   element carrying beta to the highest root; its letters are exactly the
   greedy height-increasing chain from beta up to the highest root.
@@ -136,11 +130,6 @@ class RootSystem:
     def pairing_simple(self, i: int, beta: Root) -> int:
         return 2 * beta[i - 1] - sum(beta[k - 1] for k in self.neighbors[i])
 
-    def pairing(self, beta: Root, gamma: Root) -> int:
-        return sum(
-            beta[i] * self.pairing_simple(i + 1, gamma) for i in range(self.n) if beta[i]
-        )
-
     def add_simple(self, beta: Root, i: int) -> Root:
         out = list(beta)
         out[i - 1] += 1
@@ -174,30 +163,6 @@ class RootSystem:
     @staticmethod
     def support(beta: Root) -> tuple[int, ...]:
         return tuple(i + 1 for i, c in enumerate(beta) if c)
-
-    def tree_path(self, i: int, targets: frozenset | set | tuple) -> list[int]:
-        """Shortest path in the diagram from node i to the target node set."""
-        targets = set(targets)
-        if i in targets:
-            return [i]
-        prev = {i: None}
-        queue = [i]
-        for node in queue:
-            for nb in self.neighbors[node]:
-                if nb in prev:
-                    continue
-                prev[nb] = node
-                if nb in targets:
-                    path = [nb]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return list(reversed(path))
-                queue.append(nb)
-        raise ValueError("disconnected diagram")  # cannot happen for ADE
-
-    def proj(self, i: int, beta: Root) -> int:
-        self.require_root(beta)
-        return self.tree_path(i, self.support(beta))[-1]
 
     @cached_property
     def _h_table(self) -> dict[tuple[Root, int], int]:
@@ -243,19 +208,6 @@ class RootSystem:
     def simple_reflection(self, i: int) -> Weyl:
         return self.left_mul_simple(i, self.identity)
 
-    def act(self, w: Weyl, beta: Root) -> Root:
-        acc = [0] * self.n
-        for i, c in enumerate(beta):
-            if c:
-                img = self.roots[w[i]]
-                for k in range(self.n):
-                    acc[k] += c * img[k]
-        return tuple(acc)
-
-    def compose(self, u: Weyl, v: Weyl) -> Weyl:
-        """u after v (v acts first)."""
-        return tuple(self._index[self.act(u, self.roots[k])] for k in v)
-
     def right_mul_simple(self, w: Weyl, j: int) -> Weyl:
         """w r_j: negate image j; neighbor i's becomes the root w(alpha_i) + w(alpha_j)."""
         imgs = list(w)
@@ -290,12 +242,6 @@ class RootSystem:
         perm, rows = self._left_tables[j]
         return lambda w: (tuple([perm[k] for k in w]), sum(map(getitem, rows, w)) < 0)
 
-    def invert(self, w: Weyl) -> Weyl:
-        return self.word_element(tuple(reversed(self.reduced_word(w))))
-
-    def weyl_length(self, w: Weyl) -> int:
-        return sum(1 for b in self.positive_roots if self._index[self.act(w, b)] >= self.n_pos)
-
     def reduced_word(self, w: Weyl) -> tuple[int, ...]:
         """Canonical reduced word via right descents, smallest node first."""
         cached = self._word_cache.get(w)
@@ -315,14 +261,7 @@ class RootSystem:
         self._word_cache[w] = word
         return word
 
-    def word_element(self, word) -> Weyl:
-        """The element r_{a_1} ... r_{a_k} of a word (a_1, ..., a_k)."""
-        out = self.identity
-        for i in word:
-            out = self.right_mul_simple(out, i)
-        return out
-
-    # -- minimal coset words ------------------------------------------------
+    # -- reduced words ------------------------------------------------------
 
     def _climb_word(self, start: Root, beta: Root) -> list[int]:
         """Letters of the shortest element sending start up to beta.
@@ -346,24 +285,24 @@ class RootSystem:
         return letters
 
     def geodesic_word(self, i: int, j: int) -> tuple[int, ...]:
-        """Reduced word of the shortest w with w(alpha_i) = alpha_j."""
-        path = self.tree_path(i, {j})
+        """Reduced word of the shortest w with w(alpha_i) = alpha_j.
+
+        Along the diagram path p_0 = i, ..., p_t = j it is
+        (p_{t-1} p_t)(p_{t-2} p_{t-1})...(p_0 p_1), which conjugates r_i to r_j.
+        """
+        toward, queue = {j: j}, [j]  # each node's neighbor one step nearer j
+        for node in queue:
+            for nb in self.neighbors[node]:
+                if nb not in toward:
+                    toward[nb] = node
+                    queue.append(nb)
+        path = [i]
+        while path[-1] != j:
+            path.append(toward[path[-1]])
         word = []
         for t in range(len(path) - 2, -1, -1):
             word += [path[t], path[t + 1]]
         return tuple(word)
-
-    @lru_cache(maxsize=None)
-    def _min_coset_word_cached(self, beta: Root, i: int) -> tuple[int, ...]:
-        if i in self.support(beta):
-            return tuple(reversed(self._climb_word(self.alpha(i), beta)))
-        j = self.proj(i, beta)
-        climb = tuple(reversed(self._climb_word(self.alpha(j), beta)))
-        return climb + self.geodesic_word(i, j)
-
-    def min_coset_word(self, beta: Root, i: int) -> tuple[int, ...]:
-        self.require_root(beta)
-        return self._min_coset_word_cached(beta, i)
 
     @lru_cache(maxsize=None)
     def d_beta_word(self, beta: Root) -> tuple[int, ...]:
@@ -373,11 +312,15 @@ class RootSystem:
 
     @lru_cache(maxsize=None)
     def s_beta_word(self, beta: Root) -> tuple[int, ...]:
-        """Reduced word of the reflection in beta, of length 2 ht(beta) - 1."""
+        """Reduced word of the reflection in beta, of length 2 ht(beta) - 1.
+
+        With k the first node of the support, it is w k w^-1 for w the
+        shortest element with w(alpha_k) = beta.
+        """
         self.require_root(beta)
         k = self.support(beta)[0]
-        half = self.min_coset_word(beta, k)
-        word = half + (k,) + tuple(reversed(half))
+        climb = self._climb_word(self.alpha(k), beta)
+        word = tuple(reversed(climb)) + (k,) + tuple(climb)
         if len(word) != 2 * self.height(beta) - 1:
             raise AssertionError(f"s_beta word for {beta} is not reduced")
         return word

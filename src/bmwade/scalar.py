@@ -22,11 +22,10 @@ pure, which makes them safe to share between threads.
 
 ``items``, ``repr`` and ``to_json_dict`` group the keys by l exponent and
 present each group Q-monic as num/den, polynomials in m with den = m^k
-(k the negated least m exponent, 0 when none is negative); the constructor
-reads that presentation back.  Polynomials in m are plain tuples, ascending
-degree.  The representation layer reuses the same ring with the variable
-read as r (tied to m by m = r - r^-1, which is not a unit there); nothing
-here depends on the variable's name.
+(k the negated least m exponent, 0 when none is negative).  Polynomials in
+m are plain tuples, ascending degree.  The representation layer reuses the
+same ring with the variable read as r (tied to m by m = r - r^-1, which is
+not a unit there); nothing here depends on the variable's name.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Iterator
 
 
 class ScalarDomainError(ArithmeticError):
-    """Division by a non-unit, a non-monomial denominator, or evaluation at a pole."""
+    """Division by a non-unit, or evaluation at a pole."""
 
 
 def _exact(c):
@@ -55,22 +54,6 @@ class Scalar:
     """Immutable element of Q[l^+-1, m^+-1] in canonical form."""
 
     __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict | None = None):
-        """Read ``{lexp: (num, den)}``, num and den polynomials in m with
-        rational entries; den must be a nonzero monomial c*m^k."""
-        flat: dict[tuple[int, int], int | Fraction] = {}
-        for e, (num, den) in (terms or {}).items():
-            support = [(k, c) for k, c in enumerate(den) if c]
-            if not support:
-                raise ScalarDomainError("rational function with zero denominator")
-            if len(support) > 1:
-                raise ScalarDomainError(f"denominator {_poly_str(den)} is not a monomial c*m^k")
-            (k, c), = support
-            for j, a in enumerate(num):
-                if a:
-                    flat[(e, j - k)] = _exact(Fraction(a) / c)
-        object.__setattr__(self, "_terms", flat)
 
     def __setattr__(self, name, value):  # pragma: no cover - guards immutability
         raise AttributeError("Scalar is immutable")
@@ -116,9 +99,6 @@ class Scalar:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def is_l_free(self) -> bool:
-        return all(e == 0 for e, _ in self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
@@ -244,7 +224,7 @@ class Scalar:
         }
 
 
-_ZERO = Scalar()
+_ZERO = _make({})
 _ONE = _make({(0, 0): 1})
 _M = _make({(0, 1): 1})
 

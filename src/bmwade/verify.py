@@ -20,7 +20,7 @@ confirms nor denies them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -41,19 +41,13 @@ DEFAULT_R0 = Fraction(3, 2)
 POINT_SEED = 20260801
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    witness: str | None = None
+CheckResult = namedtuple("CheckResult", "name ok witness", defaults=(None,))
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    type_label: str
-    mode: str
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, suite: str, type_label: str, mode: str):
+        self.suite, self.type_label, self.mode = suite, type_label, mode
+        self.checks: list[CheckResult] = []
 
     @property
     def passed(self) -> bool:

@@ -51,7 +51,10 @@ def test_basis_times_inverse_unit_only_at_identity():
     P = full_parent(rs)
     u = HeckeElement.unit(rs, P)
     for w in enumerate_parabolic(rs, rs.nodes):
-        prod = HeckeElement.basis(rs, P, w) * HeckeElement.basis(rs, P, rs.invert(w))
+        w_inv = rs.identity
+        for i in reversed(rs.reduced_word(w)):
+            w_inv = rs.right_mul_simple(w_inv, i)
+        prod = HeckeElement.basis(rs, P, w) * HeckeElement.basis(rs, P, w_inv)
         assert (prod == u) == (w == rs.identity)
 
 

@@ -344,6 +344,45 @@ def test_tau_braid_catches_a_corrupted_tau_cell_on_a3():
     assert checks["tau_braid_2_3"].ok
 
 
+# negative controls for the check families ee_zero, commute_ee, esq, cubic,
+# commute (sigma) and r1_ge on generic A3: +1 at the cell x_{alpha_row} <-
+# x_{alpha_col} of e_1, f_1 or sigma_1, and every check of every suite that
+# then fails.  sigma_1 is corrupted before e, f and sigma^-1 are built from it.
+FAMILY_CONTROLS = [
+    ("e", 1, 3, {"essential": [
+        "r1_eg_1", "inverse_1", "iji_gge_a_1_2", "iji_geg_a_1_2", "iji_geg_b_1_2",
+        "iji_eeg_a_1_2", "iji_eeg_b_1_2", "ee_zero_1_3", "commute_eg_1_3", "commute_ee_1_3",
+        "iji_gge_a_2_1", "iji_geg_a_2_1", "iji_geg_b_2_1", "iji_eeg_a_2_1", "iji_eeg_b_2_1"]}),
+    ("e", 1, 1, {"essential": [
+        "r1_eg_1", "esq_1", "inverse_1", "r2_1_2", "iji_gge_a_1_2", "iji_geg_a_1_2",
+        "iji_geg_b_1_2", "iji_eeg_a_1_2", "iji_eeg_b_1_2", "iji_gge_a_2_1", "iji_geg_a_2_1",
+        "iji_geg_b_2_1", "iji_eeg_a_2_1", "iji_eeg_b_2_1"],
+        "zaction": ["zaction_1"]}),
+    ("f", 1, 1, {"essential": ["cubic_1"], "eiproj": ["eiproj_1"]}),
+    ("sigma", 3, 3, {
+        "braid": ["braid_1_2", "commute_1_3"],
+        "essential": [
+            "r1_ge_1", "r1_eg_1", "esq_1", "cubic_1", "inverse_1", "r2_1_2", "wenzl_cross_1_2",
+            "iji_gge_a_1_2", "iji_geg_a_1_2", "iji_geg_b_1_2", "iji_eeg_a_1_2", "iji_eeg_b_1_2",
+            "iji_eje_1_2", "ee_zero_1_3", "commute_eg_1_3", "commute_ee_1_3", "iji_gge_a_2_1",
+            "iji_gge_b_2_1", "iji_geg_a_2_1", "iji_geg_b_2_1", "iji_eeg_a_2_1", "iji_eeg_b_2_1",
+            "iji_gee_a_2_1", "iji_gee_b_2_1"],
+        "eiproj": ["eiproj_1"],
+        "zaction": ["zaction_1", "zaction_2", "zaction_3"]}),
+]
+
+
+@pytest.mark.parametrize("kind, row, col, expect", FAMILY_CONTROLS,
+                         ids=[f"{k}1-{r}-{c}" for k, r, c, _ in FAMILY_CONTROLS])
+def test_check_families_catch_a_corrupted_cell_on_a3(kind, row, col, expect):
+    rep = LawrenceKrammer(build_type("A3"))
+    rs = rep.rs
+    mat = {"e": rep.e_matrix, "f": lambda i: rep.e_and_f(i)[1], "sigma": rep.sigma}[kind](1)
+    _corrupt_cell(mat, rep, rs.root_index[rs.alpha(row)], rs.root_index[rs.alpha(col)])
+    bad = {suite: [c.name for c in fn(rep) if not c.ok] for suite, fn in _SUITE_FNS.items()}
+    assert {suite: names for suite, names in bad.items() if names} == expect
+
+
 # negative controls for the T table on generic A4 and D4: one corrupted T memo
 # entry after a first table1 run, and every table-1 check that fails, in suite
 # order, with its witness
