@@ -4,7 +4,8 @@ One recursion and one set of matrix builders (:class:`LKRepresentation`)
 run over two coefficient rings: the C-parabolic Hecke algebra
 (:class:`LawrenceKrammer`, symbolic) and its one-dimensional character
 z -> 1/r (:class:`CharacterSpecialization`, exact rationals at a point, or
-Scalars in l and r).  The module computes, for a fixed ADE root system:
+Scalars in l and r).  A ring states only its unit, z, l, m and closed form.
+The module computes, for a fixed ADE root system:
 
 * the elements h_{beta,i} = z_h, with the node h in C read from
   ``RootSystem.h_node``, which the coefficient rings share;
@@ -39,13 +40,14 @@ The ring picks the type, ``LKRepresentation.matrix``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import gcd, lcm
 
 from .hecke import HeckeElement, ParabolicError, _left_mul, _right_mul, eval_signed_word
 from .rootsys import DynkinType, Root, RootSystem, build_type
-from .scalar import Scalar, x_value
+from .scalar import Scalar
 
 
 class UnsupportedModeError(ValueError):
@@ -208,29 +210,54 @@ class RationalMatrix(SparseMatrix):
         return {r: Fraction(v, self.den) for r, v in self._accumulate(vec).items() if v}
 
 
+def _memoized(build):
+    """The method ``build``, its values kept per argument tuple in the instance's one memo."""
+    name = build.__name__
+
+    @wraps(build)
+    def lookup(self, *args):
+        memo = self._memo[name]
+        value = memo.get(args)
+        if value is None:
+            value = memo[args] = build(self, *args)
+        return value
+    return lookup
+
+
 class LKRepresentation:
     """The T recursion and the matrix builders, over a coefficient ring.
 
-    A subclass supplies the ring: ``zero()``, ``unit()``, ``z(j)`` and
-    ``t_closed_form(i, beta)``, plus the ground scalars ``m``, ``l``,
-    ``linv``, ``x`` and ``l_over_m``, which right-multiply ring elements and
-    matrix entries, and the type ``matrix`` of its matrices.  Factors are
-    always multiplied in the order of the generic equations (z_h^-1 T in the
-    commuting step, T z_h in the adjacent step), so a ring with
-    non-commuting elements sees the true order.
+    A subclass supplies the ring, ``unit()``, ``z(j)``, ``t_closed_form(i,
+    beta)`` and the type ``matrix``, and passes its scalars one, l and m,
+    which right-multiply ring elements and matrix entries.  The rest is
+    derived here; x and l/m divide by m and are computed on first use.  One
+    memo keeps T and the matrices.  Factors are always multiplied in the
+    order of the generic equations (z_h^-1 T in the commuting step, T z_h in
+    the adjacent step), so a ring with non-commuting elements sees the true
+    order.
     """
 
     matrix = SparseMatrix
 
-    def __init__(self, rs: RootSystem):
+    def __init__(self, rs: RootSystem, one, l, m):
         self.rs = rs
         self.c_set = frozenset(rs.c_nodes)
         self.size = len(rs.positive_roots)
-        self._t_memo: dict[tuple[int, Root], object] = {}
-        self._sigma: dict[int, SparseMatrix] = {}
-        self._sigma_inv: dict[int, SparseMatrix] = {}
-        self._tau: dict[int, SparseMatrix] = {}
-        self._ef: dict[int, tuple[SparseMatrix, SparseMatrix]] = {}
+        self.one, self.l, self.m = one, l, m
+        self.linv = one / l
+        self._memo: defaultdict[str, dict] = defaultdict(dict)
+
+    def zero(self):
+        return self.unit() - self.unit()
+
+    @cached_property
+    def x(self):
+        """x = 1 - (l - l^-1)/m, so that e_i^2 = x e_i."""
+        return self.one - (self.l - self.linv) / self.m
+
+    @cached_property
+    def l_over_m(self):
+        return self.l / self.m
 
     def z_inv(self, j: int):
         """z_j^-1 = z_j + m."""
@@ -241,14 +268,10 @@ class LKRepresentation:
 
     # -- T_{i,beta} ----------------------------------------------------------
 
+    @_memoized
     def t_coeff(self, i: int, beta: Root):
         self.rs.require_root(beta)
-        key = (i, beta)
-        cached = self._t_memo.get(key)
-        if cached is None:
-            cached = self._t_compute(i, beta)
-            self._t_memo[key] = cached
-        return cached
+        return self._t_compute(i, beta)
 
     def _t_compute(self, i: int, beta: Root):
         rs = self.rs
@@ -297,53 +320,41 @@ class LKRepresentation:
                     b_idx: self.unit() * -self.m}
         return {}
 
+    @_memoized
     def sigma(self, i: int) -> SparseMatrix:
         """sigma_i = tau_i + l^-1 T_i, with T_{i,beta} l^-1 in row alpha_i of
         column beta; T_{i,alpha_i} = 1 is known without a lookup."""
-        cached = self._sigma.get(i)
-        if cached is None:
-            ai = self.rs.alpha(i)
-            ai_idx = self.rs.root_index[ai]
-            row = {}
-            for b_idx, beta in enumerate(self.rs.positive_roots):
-                t = self.unit() if beta == ai else self.t_coeff(i, beta)
-                if t:
-                    row[b_idx] = {ai_idx: t * self.linv}
-            cached = self.tau(i) + self.matrix(self.size, row)
-            self._sigma[i] = cached
-        return cached
+        ai = self.rs.alpha(i)
+        ai_idx = self.rs.root_index[ai]
+        row = {}
+        for b_idx, beta in enumerate(self.rs.positive_roots):
+            t = self.unit() if beta == ai else self.t_coeff(i, beta)
+            if t:
+                row[b_idx] = {ai_idx: t * self.linv}
+        return self.tau(i) + self.matrix(self.size, row)
 
+    @_memoized
     def tau(self, i: int) -> SparseMatrix:
-        cached = self._tau.get(i)
-        if cached is None:
-            cols = {b_idx: self._tau_column(i, b_idx, beta)
-                    for b_idx, beta in enumerate(self.rs.positive_roots)}
-            cached = self.matrix(self.size, cols)
-            self._tau[i] = cached
-        return cached
+        cols = {b_idx: self._tau_column(i, b_idx, beta)
+                for b_idx, beta in enumerate(self.rs.positive_roots)}
+        return self.matrix(self.size, cols)
 
     def identity_matrix(self) -> SparseMatrix:
         return self.matrix.identity(self.size, self.unit())
 
+    @_memoized
     def e_and_f(self, i: int) -> tuple[SparseMatrix, SparseMatrix]:
         """f_i = sigma_i^2 + m sigma_i - 1 and e_i = (l/m) f_i."""
-        cached = self._ef.get(i)
-        if cached is None:
-            s = self.sigma(i)
-            f = s * s + s.scale(self.m) - self.identity_matrix()
-            cached = (f.scale(self.l_over_m), f)
-            self._ef[i] = cached
-        return cached
+        s = self.sigma(i)
+        f = s * s + s.scale(self.m) - self.identity_matrix()
+        return f.scale(self.l_over_m), f
 
     def e_matrix(self, i: int) -> SparseMatrix:
         return self.e_and_f(i)[0]
 
+    @_memoized
     def sigma_inv(self, i: int) -> SparseMatrix:
-        cached = self._sigma_inv.get(i)
-        if cached is None:
-            cached = self.sigma(i) + (self.identity_matrix() - self.e_matrix(i)).scale(self.m)
-            self._sigma_inv[i] = cached
-        return cached
+        return self.sigma(i) + (self.identity_matrix() - self.e_matrix(i)).scale(self.m)
 
     def word_apply(self, word, vec: dict) -> dict:
         """sigma_{w_1} ... sigma_{w_k} applied to the column vec, last letter first."""
@@ -355,14 +366,8 @@ class LKRepresentation:
 class LawrenceKrammer(LKRepresentation):
     """The generic representation: entries in the C-parabolic Hecke algebra."""
 
-    m = Scalar.m()
-    l = Scalar.l(1)
-    linv = Scalar.l(-1)
-    x = x_value()
-    l_over_m = Scalar.l(1) / Scalar.m()
-
     def __init__(self, rs: RootSystem):
-        super().__init__(rs)
+        super().__init__(rs, Scalar.one(), Scalar.l(1), Scalar.m())
         self.full_set = frozenset(rs.nodes)
 
     def z(self, j: int) -> HeckeElement:
@@ -370,9 +375,6 @@ class LawrenceKrammer(LKRepresentation):
 
     def unit(self) -> HeckeElement:
         return HeckeElement.unit(self.rs, self.c_set)
-
-    def zero(self) -> HeckeElement:
-        return HeckeElement.zero(self.rs, self.c_set)
 
     def h_oracle(self, beta: Root, i: int) -> HeckeElement:
         """Full-type evaluation of d_beta^-1 s_i d_beta, projected onto C.
@@ -410,17 +412,16 @@ class CharacterSpecialization(LKRepresentation):
     ``l`` and ``r`` are rationals (a point l = l0, r = r0, in exact Fraction
     arithmetic; the E-type suites of ``verify``) or Scalars (``Scalar.l(1)``,
     with r the coefficient variable read as r, or a rational constant; the
-    matrices of ``bmwade matrices --theta lk``).  The ring's one and zero
-    follow the type of r, and m = r - 1/r.  The character extends to the
-    full-type Hecke algebra (any root c of c^2 + m c - 1 = 0 defines a
-    one-dimensional character), so the T recursion, closed-form step
-    included, runs in that ring: every evaluated word contributes 1/r per
-    positive letter and 1/r + m = r per inverse letter.  Nothing builds the
-    generic coefficients, which are far too large on the E types.  x and l/m
-    divide by m and are computed on first use, so sigma and tau also exist
-    at r = 1 and r = -1, where m = 0, and with r symbolic, where m is not a
-    unit of the Laurent ring and x, l/m, e_i and sigma_i^-1 raise
-    ScalarDomainError.
+    matrices of ``bmwade matrices --theta lk``).  The ring's one follows the
+    type of r, and m = r - 1/r.  The character extends to the full-type
+    Hecke algebra (any root c of c^2 + m c - 1 = 0 defines a one-dimensional
+    character), so the T recursion, closed-form step included, runs in that
+    ring: every evaluated word contributes 1/r per positive letter and
+    1/r + m = r per inverse letter.  Nothing builds the generic
+    coefficients, which are far too large on the E types.  Since the base
+    derives x and l/m on first use, sigma and tau also exist at r = 1 and
+    r = -1, where m = 0, and with r symbolic, where m is not a unit of the
+    Laurent ring and x, l/m, e_i and sigma_i^-1 raise ScalarDomainError.
     """
 
     def __init__(self, rs: RootSystem, l, r):
@@ -433,29 +434,15 @@ class CharacterSpecialization(LKRepresentation):
             raise UnsupportedModeError("l must be nonzero")
         if not r:
             raise UnsupportedModeError("r must be nonzero")
-        super().__init__(rs)
-        self._one, self._zero = one, one - one
-        self.l, self.r = l, r
+        self.r = r
         self.c0 = one / r
-        self.m = r - self.c0
-        self.linv = one / l
-
-    @cached_property
-    def x(self):
-        return self._one - (self.l - self.linv) / self.m
-
-    @cached_property
-    def l_over_m(self):
-        return self.l / self.m
+        super().__init__(rs, one, l, r - self.c0)
 
     def z(self, j: int):
         return self.c0
 
     def unit(self):
-        return self._one
-
-    def zero(self):
-        return self._zero
+        return self.one
 
     def t_char(self, i: int, beta: Root):
         """T_{i,beta} under the character; the memoized lookup of this ring."""

@@ -228,17 +228,9 @@ class RootSystem:
         perm = self._left_tables[j][0]
         return tuple([perm[k] for k in w])
 
-    def left_descent(self, j: int, w: Weyl) -> bool:
-        """Whether l(r_j w) < l(w), that is, w^-1(alpha_j) < 0.
-
-        The test is the sign of (alpha_j, w(2 rho)) = 2 ht(w^-1 alpha_j),
-        with 2 rho the sum of the positive roots, read from j's tables.
-        """
-        return sum(map(getitem, self._left_tables[j][1], w)) < 0
-
     def left_move(self, j: int):
-        """The map w -> (r_j w, whether j is a left descent of w), bound to j's
-        tables: one call per element in place of the two methods above."""
+        """The map w -> (r_j w, whether l(r_j w) < l(w)), bound to j's tables;
+        the descent test is the sign of (alpha_j, w(2 rho)) = 2 ht(w^-1 alpha_j)."""
         perm, rows = self._left_tables[j]
         return lambda w: (tuple([perm[k] for k in w]), sum(map(getitem, rows, w)) < 0)
 

@@ -4,11 +4,7 @@ A Scalar is a Laurent polynomial in the invertible indeterminates l and m
 with exact rational coefficients.  This ring carries every coefficient of
 the algebra: the generic sigma_i entries lie in Z[l^+-1, m], and x and the
 l/m of e_i = (l/m) f_i add only 1/m.  The parameters l and m live here
-directly; x is never stored but derived on demand from
-
-    m = (l - l^-1) / (1 - x),
-
-i.e. x = 1 - (l - l^-1)/m, see :func:`x_value`.
+directly; x = 1 - (l - l^-1)/m is derived where it is used.
 
 Storage is flat: ``_terms`` maps each monomial l^e m^k, keyed ``(e, k)``,
 to its coefficient c, an ``int``, or a ``Fraction`` when c is not an
@@ -246,7 +242,3 @@ def _poly_str(p: tuple) -> str:
                 parts.append(f"{c}*{v}")
     return " + ".join(parts).replace("+ -", "- ")
 
-
-def x_value() -> Scalar:
-    """The derived parameter x = 1 - (l - l^-1)/m."""
-    return _make({(0, 0): 1, (1, -1): -1, (-1, -1): 1})

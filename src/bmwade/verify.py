@@ -113,8 +113,8 @@ def _check_eq(out: list, name: str, a: SparseMatrix, b: SparseMatrix, rs):
 # -- individual suites ------------------------------------------------------
 #
 # Each suite takes the representation itself (generic or character): its
-# matrices, its T lookup, its z and z^-1, and its ground scalars m, l,
-# linv, x, which right-multiply entries.
+# matrices, its T lookup, its z and z^-1, and its scalars m, l and the linv
+# and x derived from them, which right-multiply entries.
 
 
 def _braid_checks(rs, M, prefix: str) -> list[CheckResult]:

@@ -34,7 +34,7 @@ from collections import deque
 from .hecke import HeckeElement, walk_prefixes
 from .lkrep import LawrenceKrammer, SparseMatrix, UnsupportedModeError
 from .rootsys import RootSystem
-from .scalar import Scalar, x_value
+from .scalar import Scalar
 
 Letter = tuple  # (node, kind)
 BmwWord = tuple  # tuple[Letter, ...]
@@ -43,7 +43,7 @@ _M = Scalar.m()
 _L = Scalar.l(1)
 _L_INV = Scalar.l(-1)
 _ONE = Scalar.one()
-_X = x_value()
+_X = _ONE - (_L - _L_INV) / _M
 
 _SEARCH_CAP = 500_000
 

@@ -1,5 +1,6 @@
-"""The package has no runtime dependencies (``dependencies = []``) and no
-member that only the tests call.
+"""The package has no runtime dependencies (``dependencies = []``), no
+member that only the tests call, and a coefficient-ring interface that no
+ring restates.
 
 Every import in ``src/bmwade`` is either relative to the package or a module
 of the standard library, so the package runs on a bare interpreter.  Every
@@ -11,18 +12,19 @@ import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import bmwade
+from bmwade.lkrep import CharacterSpecialization, LawrenceKrammer
+from bmwade.rootsys import build_type
 
 PACKAGE_DIR = Path(bmwade.__file__).resolve().parent
 BENCHMARK_DIR = PACKAGE_DIR.parents[1] / "benchmarks"
 
 # members that nothing in the package or the benchmarks names yet, each with
 # the reason it stays
-UNCALLED_ALLOWED = {
-    "left_descent": "the Garside normal form of ROADMAP item 2 is its first caller",
-}
+UNCALLED_ALLOWED: dict[str, str] = {}
 
 
 def _imported_modules(tree):
@@ -110,3 +112,21 @@ def test_every_member_is_named_by_the_program():
     stale = [name for name in UNCALLED_ALLOWED
              if name in named or name not in {n for n, _ in defined}]
     assert stale == []
+
+
+def test_rings_state_only_their_interface_and_keep_one_memo():
+    # zero, linv, x, l_over_m, z_inv and h_elem are derived by LKRepresentation
+    # from a ring's unit, z, l and m, and no ring states them again
+    own = {
+        LawrenceKrammer: {"__init__", "z", "unit", "h_oracle", "t_closed_form"},
+        CharacterSpecialization: {"__init__", "z", "unit", "t_char", "t_coeff", "t_closed_form"},
+    }
+    for ring, members in own.items():
+        assert {n for n in vars(ring) if n == "__init__" or not n.startswith("__")} == members
+    rs = build_type("A2")
+    for rep in (LawrenceKrammer(rs), CharacterSpecialization(rs, Fraction(5, 7), Fraction(3, 2))):
+        for i in rs.nodes:
+            rep.sigma_inv(i)
+            rep.tau(i)
+        memos = [name for name, value in vars(rep).items() if isinstance(value, dict)]
+        assert len(memos) == 1, memos

@@ -214,7 +214,7 @@ def test_concurrent_t_coeff_fills_agree():
     import threading
 
     lk = build_lk("D4")
-    lk._t_memo.clear()
+    lk._memo["t_coeff"].clear()
     results = []
 
     def worker():

@@ -4,18 +4,42 @@ from math import gcd
 
 import pytest
 
+from bmwade import wordalg
 from bmwade.lkrep import (
     CharacterSpecialization,
+    LawrenceKrammer,
     RationalMatrix,
     SparseMatrix,
     UnsupportedModeError,
     build_lk,
 )
-from bmwade.scalar import Scalar, ScalarDomainError, x_value
+from bmwade.rootsys import build_type
+from bmwade.scalar import Scalar, ScalarDomainError
 
 M = Scalar.m()
 L = Scalar.l(1)
 LINV = Scalar.l(-1)
+
+
+def _xs():
+    """x as the representation derives it and as the rewrite rule e e = x e reads it."""
+    return [LawrenceKrammer(build_type("A2")).x, wordalg._X]
+
+
+def test_x_formula():
+    for x in _xs():
+        assert x._terms == {(0, 0): 1, (1, -1): -1, (-1, -1): 1}
+        assert M * (Scalar.one() - x) == L - LINV
+
+
+def test_x_evaluations():
+    # independent route: plain Fraction arithmetic
+    l0, m0 = Fraction(5, 7), Fraction(3, 2)
+    expect = 1 - (l0 - 1 / l0) / m0
+    assert expect == Fraction(51, 35)
+    for x in _xs():
+        assert x.eval_at(1, 1) == 1
+        assert x.eval_at(l0, m0) == expect
 
 
 def test_h_examples():
@@ -100,7 +124,7 @@ def test_sigma_word_moves_basis_vectors(label):
 def test_f_matrix_values_on_d4():
     lk = build_lk("D4")
     rs = lk.rs
-    x = x_value()
+    x = lk.x
     for i in rs.nodes:
         e, f = lk.e_and_f(i)
         ai = rs.root_index[rs.alpha(i)]

@@ -169,9 +169,8 @@ def test_left_descent_is_a_length_drop(label):
             left, right = rs.left_mul_simple(j, w), rs.right_mul_simple(w, j)
             assert left == compose(rs, rj, w)
             assert right == compose(rs, w, rj)
-            assert rs.left_descent(j, w) == (weyl_length(rs, left) < length)
-            # the one-call left step of the Hecke kernel
-            assert rs.left_move(j)(w) == (left, rs.left_descent(j, w))
+            # the one-call left step of the Hecke kernel, descent test included
+            assert rs.left_move(j)(w) == (left, weyl_length(rs, left) < length)
             # the right-descent test of HeckeElement.mul_generator
             assert (w[j - 1] >= rs.n_pos) == (weyl_length(rs, right) < length)
 

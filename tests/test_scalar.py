@@ -5,12 +5,13 @@ import pytest
 
 from bmwade.hecke import HeckeElement
 from bmwade.rootsys import build_type
-from bmwade.scalar import Scalar, ScalarDomainError, x_value
+from bmwade.scalar import Scalar, ScalarDomainError
 
 L = Scalar.l(1)
 LINV = Scalar.l(-1)
 M = Scalar.m()
 ONE = Scalar.one()
+X = ONE - (L - LINV) / M  # the x of e e = x e
 
 
 def read(terms):
@@ -57,21 +58,6 @@ def test_forced_denominator_representation():
 def test_like_term_collection():
     m_sq = M * M
     assert m_sq + M * M == m_sq.scale(2)
-
-
-def test_x_value_formula():
-    x = x_value()
-    assert x == ONE - (L - LINV) / M
-    assert M * (ONE - x) == L - LINV
-
-
-def test_x_value_evaluations():
-    assert x_value().eval_at(1, 1) == 1
-    # independent route: plain Fraction arithmetic
-    l0, m0 = Fraction(5, 7), Fraction(3, 2)
-    expect = 1 - (l0 - 1 / l0) / m0
-    assert expect == Fraction(51, 35)
-    assert x_value().eval_at(l0, m0) == expect
 
 
 def test_eval_examples_and_errors():
@@ -149,7 +135,7 @@ def test_l_free_predicate():
     rs = build_type("D4")
     unit = HeckeElement.unit(rs, frozenset(rs.c_nodes))
     assert unit.scale(M).is_l_free()
-    assert not unit.scale(x_value()).is_l_free()
+    assert not unit.scale(X).is_l_free()
 
 
 def _is_canonical(s):
@@ -217,7 +203,7 @@ def test_json_dict_literals():
         {"lexp": -1, "num": ["-1"], "den": ["0", "1"]},
         {"lexp": 1, "num": ["1"], "den": ["0", "1"]},
     ]}
-    assert x_value().to_json_dict() == {"terms": [
+    assert X.to_json_dict() == {"terms": [
         {"lexp": -1, "num": ["1"], "den": ["0", "1"]},
         {"lexp": 0, "num": ["1"], "den": ["1"]},
         {"lexp": 1, "num": ["-1"], "den": ["0", "1"]},
@@ -285,8 +271,8 @@ def _general_product(a, b):
 
 def test_unit_fast_path_matches_general_route():
     rng = random.Random(909)
-    others = [x_value(), L + M, -LINV / (M * M) + ONE, ONE / M.scale(2) - L,
-              -x_value() * M, read({2: ((3, 0, -2), (0, 0, 5))})]
+    others = [X, L + M, -LINV / (M * M) + ONE, ONE / M.scale(2) - L,
+              -X * M, read({2: ((3, 0, -2), (0, 0, 5))})]
     others += [rand_scalar(rng) for _ in range(20)]
     for s in others[:6]:
         assert len(s._terms) > 1, s

@@ -11,6 +11,7 @@ from bmwade.lkrep import (
     build_lk,
 )
 from bmwade.rootsys import build_type
+from bmwade.scalar import Scalar
 from bmwade.verify import (
     _SUITE_FNS,
     UnsupportedModeError,
@@ -190,7 +191,7 @@ def test_zaction_catches_a_corrupted_sigma_cell_on_e6():
     # +1 to the cell: its stored integer is over s1.den
     s1.cols[b_idx][b_idx] = s1.cols[b_idx].get(b_idx, 0) + s1.den
     assert s1.cols[b_idx][b_idx]
-    rep._ef.clear()
+    rep._memo["e_and_f"].clear()
     checks = _suite_zaction(rep)
     assert [c.name for c in checks] == [f"zaction_{i}" for i in rs.nodes]
     assert all(not c.ok and c.witness == "j=1 k=6" for c in checks)
@@ -201,6 +202,11 @@ def _corrupt_cell(mat, rep, row, col):
     one = mat.den if isinstance(mat, RationalMatrix) else rep.unit()
     cell = mat.cols.setdefault(col, {})
     cell[row] = cell[row] + one if row in cell else one
+
+
+def _t_memo(rep):
+    """The T entries of the representation's one memo, keyed (i, beta)."""
+    return rep._memo["t_coeff"]
 
 
 def test_inverse_check_reads_the_cached_sigma_inverse():
@@ -317,7 +323,7 @@ def test_table1_row6_catches_a_corrupted_t_coeff_on_a3():
     rs = rep.rs
     _SUITE_FNS["table1"](rep)
     key = (1, rs.alpha(3))
-    rep._t_memo[key] = rep._t_memo[key] + rep.unit()
+    _t_memo(rep)[key] += rep.unit()
     checks = {c.name: c for c in _SUITE_FNS["table1"](rep)}
     assert not checks["t_row6_adjacent-1"].ok
 
@@ -327,7 +333,7 @@ def test_eiproj_catches_a_corrupted_t_coeff_on_a3():
     rs = rep.rs
     rep.e_and_f(1)  # sigma_1 and f_1 are cached before the corruption
     key = (1, (1, 1, 0))
-    rep._t_memo[key] = rep._t_memo[key] + rep.unit()
+    _t_memo(rep)[key] += rep.unit()
     checks = {c.name: c for c in _SUITE_FNS["eiproj"](rep)}
     assert not checks["eiproj_1"].ok
     assert checks["eiproj_1"].witness.startswith("cell x_")
@@ -383,7 +389,7 @@ def test_check_families_catch_a_corrupted_cell_on_a3(kind, row, col, expect):
     assert {suite: names for suite, names in bad.items() if names} == expect
 
 
-# negative controls for the T table on generic A4 and D4: one corrupted T memo
+# negative controls for the T table on generic A4 and D4: +1 on one T memo
 # entry after a first table1 run, and every table-1 check that fails, in suite
 # order, with its witness
 T_MEMO_CONTROLS = [
@@ -407,6 +413,18 @@ T_MEMO_CONTROLS = [
         ("t_row7_pairing1", "i=2 j=3 beta=(0, 1, 1, 1)"),
         ("t_choice_adjacent_step", "i=2 j=1 beta=(1, 1, 1, 1)"),
     ]),
+    # rows 1-3, the explicit values: zero off the support, 1 at alpha_i, m at height two
+    ("A4", (2, (1, 0, 0, 0)), [
+        ("t_row1_zero", "i=2 beta=alpha_1"),
+        ("t_row6_adjacent-1", "i=3 j=2 beta=(1, 1, 0, 0)"),
+    ]),
+    ("A4", (1, (1, 0, 0, 0)), [
+        ("t_row2_unit", "i=1"),
+    ]),
+    ("A4", (1, (1, 1, 0, 0)), [
+        ("t_row3_m", "i=1 j=2"),
+        ("t_row4_commuting", "i=1 j=3 beta=(1, 1, 1, 0)"),
+    ]),
 ]
 
 
@@ -416,6 +434,43 @@ T_MEMO_CONTROLS = [
 def test_table1_catches_a_corrupted_t_memo_entry(label, key, failing):
     rep = LawrenceKrammer(build_type(label))
     _SUITE_FNS["table1"](rep)
-    rep._t_memo[key] = rep._t_memo[key] + rep.unit()
+    _t_memo(rep)[key] += rep.unit()
     bad = [(c.name, c.witness) for c in _SUITE_FNS["table1"](rep) if not c.ok]
     assert bad == failing
+
+
+def test_t_lfree_catches_an_l_in_a_t_entry_on_a4():
+    rep = LawrenceKrammer(build_type("A4"))
+    _SUITE_FNS["table1"](rep)
+    key = (1, (1, 1, 1, 0))
+    _t_memo(rep)[key] *= Scalar.l(1)
+    bad = [(c.name, c.witness) for c in _SUITE_FNS["table1"](rep) if not c.ok]
+    assert bad == [
+        ("t_row4_commuting", "i=1 j=3 beta=(1, 1, 1, 0)"),
+        ("t_row7_pairing1", "i=1 j=2 beta=(1, 1, 1, 0)"),
+        ("t_lfree", None),
+    ]
+
+
+def test_tau_commute_catches_a_corrupted_tau_cell_on_a3():
+    rep = LawrenceKrammer(build_type("A3"))
+    rs = rep.rs
+    _corrupt_cell(rep.tau(1), rep, rs.root_index[rs.alpha(3)], rs.root_index[rs.alpha(2)])
+    bad = [(c.name, c.witness) for c in _SUITE_FNS["tau_monoid"](rep) if not c.ok]
+    assert bad == [
+        ("tau_braid_1_2", "cell x_(0, 0, 1) <- x_(0, 1, 0): (-m)*z2 != None"),
+        ("tau_commute_1_3", "cell x_(0, 0, 1) <- x_(0, 1, 0): (-m)*1 != None"),
+    ]
+
+
+def test_t_hnode_oracle_catches_a_wrong_h_node_on_d4(monkeypatch):
+    # h_{beta,1} for beta = (1, 2, 1, 1) moved from node 1 to node 3: the
+    # recursion and row 7 read the table, the oracle evaluates d_beta^-1 s_1 d_beta
+    rs = build_type("D4")
+    assert rs._h_table[(1, 2, 1, 1), 1] == 1
+    monkeypatch.setitem(rs._h_table, ((1, 2, 1, 1), 1), 3)
+    bad = [(c.name, c.witness) for c in _SUITE_FNS["table1"](LawrenceKrammer(rs)) if not c.ok]
+    assert bad == [
+        ("t_row7_pairing1", "i=2 j=1 beta=(1, 2, 1, 1)"),
+        ("t_hnode_oracle", "i=1 beta=(1, 2, 1, 1)"),
+    ]

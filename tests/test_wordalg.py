@@ -5,12 +5,13 @@ import pytest
 from bmwade.hecke import HeckeElement, eval_signed_word
 from bmwade.lkrep import LawrenceKrammer, SparseMatrix, build_lk
 from bmwade.rootsys import build_type
-from bmwade.scalar import Scalar, x_value
+from bmwade.scalar import Scalar
 from bmwade.wordalg import (
     _INVERSE,
     _MOVES,
     _PAIR,
     _TRIPLE,
+    _X,
     EMatrixShapeError,
     WordParseError,
     parse_word,
@@ -47,7 +48,7 @@ def test_reduce_squares_and_triples():
         ((1, "e"),): M * LINV,
     }
     assert reduce_word(rs, parse_word(rs, "e1 e2 e1")) == {((1, "e"),): Scalar.one()}
-    assert reduce_word(rs, parse_word(rs, "e1 e1")) == {((1, "e"),): x_value()}
+    assert reduce_word(rs, parse_word(rs, "e1 e1")) == {((1, "e"),): _X}
     assert reduce_word(rs, parse_word(rs, "e1 g2 e1")) == {((1, "e"),): L}
     assert reduce_word(rs, parse_word(rs, "g1 e1")) == {((1, "e"),): LINV}
 
@@ -176,7 +177,7 @@ def test_rep_image_matches_reference(label):
         w("g1"): M,
         w("g1 g2"): LINV,  # a prefix of the next two words
         w("g1 g2 g3"): -M,
-        w("g1 g2 e3"): x_value(),
+        w("g1 g2 e3"): _X,
         w("g1 e2 g3"): L,
         w("G2 g1 G2"): Scalar.one(),
         w("G2 g1"): -Scalar.one(),
