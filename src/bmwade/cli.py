@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .lkrep import CharacterSpecialization, UnsupportedModeError, build_lk
-from .rootsys import DynkinType, build_type
+from .rootsys import DynkinType, ascii_int, build_type
 from .scalar import Scalar
 from .verify import dims_report, run_suite
 from .wordalg import WordParseError, parse_word, reduce_word, word_to_text
@@ -48,15 +48,10 @@ def _parse_type(label: str):
         raise UsageError(str(exc)) from exc
 
 
-def _is_ascii_number(text: str) -> bool:
-    return text.isascii() and text.isdecimal()
-
-
 def _parse_root(rs, text: str):
-    parts = text.replace(" ", "").split(",")
-    if not all(_is_ascii_number(c) for c in parts):
+    coeffs = tuple(ascii_int(c) for c in text.replace(" ", "").split(","))
+    if None in coeffs:
         raise UsageError(f"cannot parse root {text!r}: expected comma-separated integers")
-    coeffs = tuple(int(c) for c in parts)
     if len(coeffs) != rs.n:
         raise UsageError(f"root needs {rs.n} coefficients for {rs.dtype.label}")
     if not rs.is_positive_root(coeffs):
@@ -65,16 +60,17 @@ def _parse_root(rs, text: str):
 
 
 def _parse_node(rs, text: str) -> int:
-    if not _is_ascii_number(text):
+    node = ascii_int(text)
+    if node is None:
         raise UsageError(f"cannot parse node {text!r}")
-    node = int(text)
     if node not in rs.nodes:
         raise UsageError(f"node {node} out of range")
     return node
 
 
 def _parse_fraction(text: str) -> Fraction:
-    if text.isascii():
+    # exponent notation is the one form whose value's size the text's length does not bound
+    if text.isascii() and "e" not in text.lower():
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):

@@ -1,11 +1,11 @@
-"""Iwahori-Hecke algebra elements over a parabolic of the fixed ADE type.
+"""Iwahori-Hecke algebra elements of the fixed ADE type.
 
 An element is a finite linear combination of basis elements T_w with
 coefficients in the Laurent ring Q[l^+-1, m^+-1] of ``scalar``, w running
-over the parabolic subgroup generated by a ``parent`` node set.  Two parents
-matter in practice: the full node set (the evaluation oracle for Artin
-words) and the set C orthogonal to the highest root (the coefficient
-algebra of the Lawrence-Krammer module, whose generators are written z_j).
+over the Weyl group of the type.  Sums and products
+in a parabolic subalgebra, such as the Lawrence-Krammer coefficient algebra
+H_C on the nodes C orthogonal to the highest root, are the same as in the
+whole algebra, so ``project_subalgebra`` alone checks membership.
 
 Storage is flat: ``terms`` maps each key (w, e, k) to the rational c of the
 term c l^e m^k T_w, an ``int``, or a ``Fraction`` when c is not an integer.
@@ -141,35 +141,25 @@ def in_parabolic(rs: RootSystem, w: Weyl, nodes: frozenset) -> bool:
 
 
 class HeckeElement:
-    __slots__ = ("rs", "parent", "terms")
+    __slots__ = ("rs", "terms")
 
-    def __init__(self, rs: RootSystem, parent: frozenset, terms: dict | None = None):
+    def __init__(self, rs: RootSystem, terms: dict | None = None):
         """From flat terms {(w, e, k): c} in canonical form (no zero c)."""
-        self.rs, self.parent = rs, parent
-        self.terms: dict[tuple[Weyl, int, int], object] = {} if terms is None else terms
+        self.rs, self.terms = rs, {} if terms is None else terms
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(rs: RootSystem, parent: frozenset) -> HeckeElement:
-        return HeckeElement(rs, parent)
+    def zero(rs: RootSystem) -> HeckeElement:
+        return HeckeElement(rs)
 
     @staticmethod
-    def unit(rs: RootSystem, parent: frozenset) -> HeckeElement:
-        return HeckeElement(rs, parent, {(rs.identity, 0, 0): 1})
+    def unit(rs: RootSystem) -> HeckeElement:
+        return HeckeElement(rs, {(rs.identity, 0, 0): 1})
 
     @staticmethod
-    def basis(rs: RootSystem, parent: frozenset, w: Weyl) -> HeckeElement:
-        if not in_parabolic(rs, w, parent):
-            raise ParabolicError(
-                f"element {rs.reduced_word(w)} is not in the parabolic on {sorted(parent)}",
-                rs.reduced_word(w),
-            )
-        return HeckeElement(rs, parent, {(w, 0, 0): 1})
-
-    @staticmethod
-    def generator(rs: RootSystem, parent: frozenset, j: int) -> HeckeElement:
-        return HeckeElement.basis(rs, parent, rs.simple_reflection(j))
+    def generator(rs: RootSystem, j: int) -> HeckeElement:
+        return HeckeElement(rs, {(rs.simple_reflection(j), 0, 0): 1})
 
     # -- structure --------------------------------------------------------
 
@@ -190,43 +180,44 @@ class HeckeElement:
             return not self.terms
         return NotImplemented
 
-    def _check_parent(self, other: HeckeElement):
-        if self.parent != other.parent or self.rs is not other.rs:
-            raise ParabolicError("parent parabolic mismatch")
+    def _check_rs(self, other: HeckeElement):
+        # root indices of two types mean different elements: a product would be wrong silently
+        if self.rs is not other.rs:
+            raise ValueError("Hecke elements of two different root systems")
 
     # -- module operations ---------------------------------------------------
 
     def __add__(self, other: HeckeElement) -> HeckeElement:
-        self._check_parent(other)
+        self._check_rs(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
             _acc(terms, key, c)
-        return HeckeElement(self.rs, self.parent, terms)
+        return HeckeElement(self.rs, terms)
 
     def __neg__(self) -> HeckeElement:
-        return HeckeElement(self.rs, self.parent, {key: -c for key, c in self.terms.items()})
+        return HeckeElement(self.rs, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other: HeckeElement) -> HeckeElement:
         return self + (-other)
 
     def scale(self, s: Scalar) -> HeckeElement:
-        return HeckeElement(self.rs, self.parent, _times(self.terms, s._terms))
+        return HeckeElement(self.rs, _times(self.terms, s._terms))
 
     # -- ring operations -------------------------------------------------------
 
     def mul_generator(self, j: int, inverse: bool = False) -> HeckeElement:
         """Right multiplication by z_j, or by z_j^-1 = z_j + m."""
-        return HeckeElement(self.rs, self.parent, _right_mul(self.rs, self.terms, (j,), inverse))
+        return HeckeElement(self.rs, _right_mul(self.rs, self.terms, (j,), inverse))
 
     def mul_word(self, word) -> HeckeElement:
-        return HeckeElement(self.rs, self.parent, _right_mul(self.rs, self.terms, word))
+        return HeckeElement(self.rs, _right_mul(self.rs, self.terms, word))
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
             return self.scale(other)
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        self._check_parent(other)
+        self._check_rs(other)
         rs = self.rs
         # walk the words of the factor with fewer terms; a left word acts reversed
         left = len(self.terms) < len(other.terms)
@@ -240,21 +231,19 @@ class HeckeElement:
         terms = None if len(words) == 1 else {}  # one product needs no accumulator
         for c, prod in prods:
             terms = _times(prod, c, terms)
-        return HeckeElement(rs, self.parent, terms)
+        return HeckeElement(rs, terms)
 
     # -- named operations ----------------------------------------------------------
 
     def project_subalgebra(self, nodes) -> HeckeElement:
-        """Re-parent onto a sub-parabolic, or fail naming the offender."""
+        """This element, checked to lie in the parabolic on nodes, or fail naming the offender."""
         nodes = frozenset(nodes)
         for w in {w for w, _, _ in self.terms}:
             if not in_parabolic(self.rs, w, nodes):
+                word = self.rs.reduced_word(w)
                 raise ParabolicError(
-                    f"basis element {self.rs.reduced_word(w)} lies outside "
-                    f"the parabolic on {sorted(nodes)}",
-                    self.rs.reduced_word(w),
-                )
-        return HeckeElement(self.rs, nodes, self.terms)
+                    f"basis element {word} lies outside the parabolic on {sorted(nodes)}", word)
+        return self
 
     # -- presentation ------------------------------------------------------
 
@@ -283,16 +272,13 @@ class HeckeElement:
         }
 
 
-def eval_signed_word(rs: RootSystem, parent: frozenset, word) -> HeckeElement:
+def eval_signed_word(rs: RootSystem, word) -> HeckeElement:
     """Evaluate a signed Artin word left to right.
 
     Each (j, +1) contributes z_j and each (j, -1) contributes z_j + m, the
     inverse of z_j in the Hecke algebra.
     """
-    parent = frozenset(parent)
-    out = HeckeElement.unit(rs, parent)
+    out = HeckeElement.unit(rs)
     for j, sign in word:
-        if j not in parent:
-            raise ParabolicError(f"node {j} is not in the parent parabolic")
         out = out.mul_generator(j, inverse=(sign < 0))
     return out

@@ -241,7 +241,6 @@ class LKRepresentation:
 
     def __init__(self, rs: RootSystem, one, l, m):
         self.rs = rs
-        self.c_set = frozenset(rs.c_nodes)
         self.size = len(rs.positive_roots)
         self.one, self.l, self.m = one, l, m
         self.linv = one / l
@@ -368,13 +367,13 @@ class LawrenceKrammer(LKRepresentation):
 
     def __init__(self, rs: RootSystem):
         super().__init__(rs, Scalar.one(), Scalar.l(1), Scalar.m())
-        self.full_set = frozenset(rs.nodes)
+        self.c_set = frozenset(rs.c_nodes)
 
     def z(self, j: int) -> HeckeElement:
-        return HeckeElement.generator(self.rs, self.c_set, j)
+        return HeckeElement.generator(self.rs, j)
 
     def unit(self) -> HeckeElement:
-        return HeckeElement.unit(self.rs, self.c_set)
+        return HeckeElement.unit(self.rs)
 
     def h_oracle(self, beta: Root, i: int) -> HeckeElement:
         """Full-type evaluation of d_beta^-1 s_i d_beta, projected onto C.
@@ -385,7 +384,7 @@ class LawrenceKrammer(LKRepresentation):
         rs = self.rs
         d = rs.d_beta_word(beta)
         signed = [(a, -1) for a in reversed(d)] + [(i, +1)] + [(a, +1) for a in d]
-        return eval_signed_word(rs, self.full_set, signed).project_subalgebra(self.c_set)
+        return eval_signed_word(rs, signed).project_subalgebra(self.c_set)
 
     def t_closed_form(self, i: int, beta: Root) -> HeckeElement:
         """m * (d_{alpha_i}^-1 s_beta^-1 s_i s_beta d_beta) in the C-parabolic.
@@ -400,10 +399,9 @@ class LawrenceKrammer(LKRepresentation):
             rs, i, rs.s_beta_word(beta), rs.d_beta_word(beta),
             rs.d_beta_word(rs.alpha(i)))
         try:
-            projected = HeckeElement(rs, self.full_set, raw).project_subalgebra(self.c_set)
+            return HeckeElement(rs, raw).project_subalgebra(self.c_set).scale(self.m)
         except ParabolicError as exc:
             raise ParabolicError(f"T closed form for i={i}, beta={beta}: {exc}", exc.word) from exc
-        return projected.scale(self.m)
 
 
 class CharacterSpecialization(LKRepresentation):
@@ -470,7 +468,7 @@ def _closed_form_eval(rs: RootSystem, i: int, s_word, d_b_word, d_ai_word) -> di
     height two, no support on the way exceeds the result's (checked on
     A3, A5, A8, D4-D8, E6, E7 and E8 to height 14).
     """
-    terms = HeckeElement.generator(rs, frozenset(rs.nodes), i).terms
+    terms = HeckeElement.generator(rs, i).terms
     terms = _right_mul(rs, terms, s_word + d_b_word)
     return _left_mul(rs, terms, s_word + d_ai_word, inverse=True)
 

@@ -40,6 +40,16 @@ Weyl = tuple  # tuple[int, ...] root indices of the images of the simple roots
 MAX_RANK = 100  # refuse a huge rank up front instead of running out of memory building it
 
 
+def ascii_int(text: str) -> int | None:
+    """An ASCII numeral's value; None for other text and past ``int``'s digit limit."""
+    if text.isascii() and text.isdecimal():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
+
+
 class DynkinType(namedtuple("DynkinType", "family rank")):
     __slots__ = ()
 
@@ -58,9 +68,10 @@ class DynkinType(namedtuple("DynkinType", "family rank")):
     @staticmethod
     def parse(label: str) -> DynkinType:
         label = label.strip()
-        if len(label) < 2 or label[0].upper() not in "ADE" or not (label[1:].isascii() and label[1:].isdecimal()):
+        rank = ascii_int(label[1:])
+        if rank is None or label[0].upper() not in "ADE":
             raise ValueError(f"cannot parse Dynkin type {label!r}")
-        return DynkinType(label[0].upper(), int(label[1:]))
+        return DynkinType(label[0].upper(), rank)
 
     @property
     def label(self) -> str:

@@ -33,7 +33,7 @@ from collections import deque
 
 from .hecke import HeckeElement, walk_prefixes
 from .lkrep import LawrenceKrammer, SparseMatrix, UnsupportedModeError
-from .rootsys import RootSystem
+from .rootsys import RootSystem, ascii_int
 from .scalar import Scalar
 
 Letter = tuple  # (node, kind)
@@ -89,13 +89,12 @@ def parse_word(rs: RootSystem, text: str) -> BmwWord:
     pos = 0
     for token in text.split():
         pos = text.index(token, pos)
-        kind = token[0]
-        if kind not in "gGe" or not (token[1:].isascii() and token[1:].isdecimal()):
+        node = ascii_int(token[1:])
+        if token[0] not in "gGe" or node is None:
             raise WordParseError(f"bad token {token!r} at position {pos}")
-        node = int(token[1:])
         if node not in rs.nodes:
             raise WordParseError(f"node {node} out of range at position {pos}")
-        letters.append((node, kind))
+        letters.append((node, token[0]))
         pos += len(token)
     return tuple(letters)
 
@@ -245,11 +244,11 @@ def rep_image(lk: LawrenceKrammer, comb: dict) -> tuple[HeckeElement, SparseMatr
     nonzero row (``eiproj`` pins it; any other entry raises ``EMatrixShapeError``).
     Scalars are central, so rows sharing a column are summed, then multiplied out.
     """
-    rs, full = lk.rs, lk.full_set
+    rs = lk.rs
 
     def step(image, letter):
         (h, mat), (node, kind) = image, letter
-        h = HeckeElement.zero(rs, full) if kind == "e" else h.mul_generator(node, kind == "G")
+        h = HeckeElement.zero(rs) if kind == "e" else h.mul_generator(node, kind == "G")
         right = {"g": lk.sigma, "G": lk.sigma_inv, "e": lk.e_matrix}[kind](node)
         if type(mat) is tuple:
             return h, (mat[0], _row_times(mat[1], right))
@@ -261,8 +260,8 @@ def rep_image(lk: LawrenceKrammer, comb: dict) -> tuple[HeckeElement, SparseMatr
             return h, (col, {c: e_col[a] for c, e_col in right.cols.items()})
         return h, right if mat is None else mat * right
 
-    hecke, cols, rows = HeckeElement.zero(rs, full), {}, {}
-    for coeff, (h, mat) in walk_prefixes(comb.items(), (HeckeElement.unit(rs, full), None), step):
+    hecke, cols, rows = HeckeElement.zero(rs), {}, {}
+    for coeff, (h, mat) in walk_prefixes(comb.items(), (HeckeElement.unit(rs), None), step):
         hecke = hecke + h.scale(coeff)
         if type(mat) is tuple:  # one column object per prefix up to the first e
             acc = rows.setdefault(id(mat[0]), (mat[0], {}))[1]

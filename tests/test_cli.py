@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -264,12 +265,38 @@ def test_closed_stdout_exits_141_without_a_message():
     (("verify", "--type", "A2", "--suite", "braid", "--specialize", "l=５/7,r=3/2"),
      "cannot parse rational '５/7'"),
     (("matrices", "--type", "A2", "--theta", "lk", "--r", "３/2"), "cannot parse rational '３/2'"),
+    # ASCII digits that parse but name no positive root
+    (("tcoeff", "--type", "A3", "--node", "1", "--root", "1,0,1"), "(1, 0, 1) is not a positive root of A3"),
 ])
 def test_non_ascii_digits_are_usage_errors(capsys, argv, message):
     # str.isdigit accepts superscripts that int() then rejects
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.splitlines()[0] == f"error: {message}"
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
+
+
+BIG = "9" * 5000  # past int()'s 4300-digit limit for str conversion
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("tcoeff", "--type", "A3", "--node", BIG, "--root", "1,0,0"), f"cannot parse node '{BIG}'"),
+    (("tcoeff", "--type", "A3", "--node", "1", "--root", f"{BIG},0,0"),
+     f"cannot parse root '{BIG},0,0': expected comma-separated integers"),
+    (("hbeta", "--type", "A3", "--node", BIG, "--root", "1,0,0"), f"cannot parse node '{BIG}'"),
+    (("reduce", "--type", "A3", "--word", f"g{BIG}"), f"bad token 'g{BIG}' at position 0"),
+    # exponent notation: a short text whose value has any number of digits
+    (("verify", "--type", "A2", "--suite", "braid", "--specialize", "l=1e5000,r=3/2"),
+     "cannot parse rational '1e5000'"),
+    (("matrices", "--type", "A2", "--theta", "lk", "--r", "1e5000"), "cannot parse rational '1e5000'"),
+    (("roots", "--type", f"A{BIG}"), f"cannot parse Dynkin type 'A{BIG}'"),
+], ids=["tcoeff-node", "tcoeff-root", "hbeta-node", "reduce-word", "verify-specialize", "matrices-r",
+        "roots-type"])
+def test_oversized_numbers_are_usage_errors(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
     assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
 
 
@@ -381,11 +408,12 @@ FUZZ_SEED = 20261019
 FUZZ_COMMANDS = ("roots", "reduce", "tcoeff", "hbeta", "matrices", "verify", "dims", "frobnicate")
 FUZZ_TYPES = ("A1", "A2", "A3", "A4", "D4", "E6",
               "", "X9", "A0", "D3", "E9", "A³", "A３", "A101", "A99999999999", "E8")
-FUZZ_PARTS = ("0", "1", "2", "3", "", "-1", "１", "²", "01", "002")
+FUZZ_PARTS = ("0", "1", "2", "3", "", "-1", "１", "²", "01", "002", BIG)
 FUZZ_ROOTS = ("1", "1,1", "1,1,1", "0,1,1", "1,1,1,1", "1,2,1,1", "0,1,1,1,1,0", "1,2,2,3,2,1")
-FUZZ_RATIONALS = ("5/7", "3/2", "-2/5", "2", "1", "-1", "0", "-0", "1/0", "nan", "inf", "５/7")
+FUZZ_RATIONALS = ("5/7", "3/2", "-2/5", "2", "1", "-1", "0", "-0", "1/0", "nan", "inf", "５/7",
+                  "1e5000")
 FUZZ_SUITES = ("braid", "table1", "tau_monoid", "a2dim", "", "nonsense")
-FUZZ_LETTERS = ("g1", "G2", "e1", "e2", "g3", "g0", "g9", "e²", "g１", "x1", "G")
+FUZZ_LETTERS = ("g1", "G2", "e1", "e2", "g3", "g0", "g9", "e²", "g１", "x1", "G", f"g{BIG}")
 GENERIC_T = ("tcoeff", "matrices", "verify")
 
 
@@ -438,7 +466,7 @@ def _fuzz_argv(rng):
 def test_seeded_cli_fuzz(capsys):
     rng = random.Random(FUZZ_SEED)
     failures = []
-    for _ in range(300):
+    for _ in range(1000):
         argv = _fuzz_argv(rng)
         code, out, err = run(capsys, *argv)
         if code not in (0, 1, 2) or "error: internal" in err or (code == 2 and out):

@@ -133,7 +133,7 @@ def test_eval_is_ring_homomorphism():
 def test_l_free_predicate():
     # t_lfree reads l-freeness on Hecke coefficients: m is l-free, x is not
     rs = build_type("D4")
-    unit = HeckeElement.unit(rs, frozenset(rs.c_nodes))
+    unit = HeckeElement.unit(rs)
     assert unit.scale(M).is_l_free()
     assert not unit.scale(X).is_l_free()
 

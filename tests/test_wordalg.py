@@ -81,7 +81,7 @@ def test_empty_word_and_identity_image():
     lk = build_lk("A2")
     assert reduce_word(rs, ()) == {(): Scalar.one()}
     hecke, mat = rep_image_word(lk, ())
-    assert hecke == hecke.unit(lk.rs, lk.full_set)
+    assert hecke == hecke.unit(lk.rs)
     assert mat == lk.identity_matrix()
 
 
@@ -147,17 +147,17 @@ def test_reduction_is_deterministic():
 
 def _reference_image(lk, comb):
     """Each word multiplied left to right from the identity, then summed."""
-    rs, full = lk.rs, lk.full_set
+    rs = lk.rs
     letter = {"g": lk.sigma, "G": lk.sigma_inv, "e": lk.e_matrix}
-    hecke, mat = HeckeElement.zero(rs, full), SparseMatrix(lk.size)
+    hecke, mat = HeckeElement.zero(rs), SparseMatrix(lk.size)
     for word, coeff in comb.items():
         m = lk.identity_matrix()
         for node, kind in word:
             m = m * letter[kind](node)
         if any(kind == "e" for _, kind in word):
-            h = HeckeElement.zero(rs, full)
+            h = HeckeElement.zero(rs)
         else:
-            h = eval_signed_word(rs, full, [(node, -1 if kind == "G" else 1) for node, kind in word])
+            h = eval_signed_word(rs, [(node, -1 if kind == "G" else 1) for node, kind in word])
         hecke = hecke + h.scale(coeff)
         mat = mat + m.scale(coeff)
     return hecke, mat
