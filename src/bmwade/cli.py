@@ -136,10 +136,18 @@ def _cmd_matrices(args, rs) -> int:
         builders = {"gamma": rep.sigma}
     zero = rep.zero()
     payload = {"type": rs.dtype.label, "size": rep.size}
-    for key, build in builders.items():
-        payload[key] = {str(i): build(i).to_json_columns(lambda v: (v or zero).to_json_dict())
-                        for i in rs.nodes}
-    text = _dumps(payload)
+    # exact entries may pass int's digit limit for str(), which argv parsing keeps
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for key, build in builders.items():
+            payload[key] = {str(i): build(i).to_json_columns(lambda v: (v or zero).to_json_dict())
+                            for i in rs.nodes}
+        text = _dumps(payload)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if args.json is not True:
         try:
             Path(args.json).write_text(text + "\n")

@@ -10,24 +10,23 @@ The module computes, for a fixed ADE root system:
 * the elements h_{beta,i} = z_h, with the node h in C read from
   ``RootSystem.h_node``, which the coefficient rings share;
 * the coefficient family T_{i,beta} in the C-parabolic Hecke algebra, by a
-  memoized recursion over the equation table.  The recursion has five
-  branches, keyed by (alpha_i, beta): zero off the support, explicit values
-  at heights one and two, a closed form at pairing one, a commuting-node
-  step, and two adjacent-node steps.  ``steps`` yields every admissible
-  step; the recursion takes the first, and the choice-independence checks
-  of ``verify`` compare them all.  The closed form is evaluated as a
-  signed Artin word in the full-type Hecke algebra, positive letters on the
-  right first (they collapse to two terms) and then inverse letters on the
-  left, and then projected onto the C-parabolic; a projection failure
-  would falsify the theory (or a convention) and is a hard error, never
-  silently repaired;
+  memoized recursion over the equation table.  The recursion has four
+  branches, keyed by (alpha_i, beta): zero off the support, 1 at height
+  one, a closed form at pairing one (m at height two), and the ``steps``
+  of the table, of one commuting-node and two adjacent-node kinds; it takes
+  the first step, and the choice-independence checks of ``verify`` compare
+  them all.  The closed form is evaluated as a signed Artin word in the
+  full-type Hecke algebra, positive letters on the right first (they
+  collapse to two terms) and then inverse letters on the left, and then
+  projected onto the C-parabolic; a projection failure would falsify the
+  theory (or a convention) and is a hard error, never silently repaired;
 * the representation matrices sigma_i = tau_i + l^-1 T_i on the free right
   module with basis x_beta indexed by the positive roots, together with the
   derived f_i = sigma_i^2 + m sigma_i - 1 and e_i = (l/m) f_i;
 * the specialization through that character, with m = r - r^-1: the same
   recursion and builders run in the character's ring, so each sigma_i stays
   a square matrix of size |Phi+|, at a rational point or with l and r
-  symbolic.
+  symbolic.  There the closed form is m r^(ht beta - 2).
 
 Matrix conventions.  A matrix M acts by sigma(x_beta) = sum_gamma x_gamma *
 M[gamma][beta] with coefficients on the right, so operator composition is
@@ -278,8 +277,6 @@ class LKRepresentation:
             return self.zero()
         if beta == rs.alpha(i):
             return self.unit()
-        if rs.height(beta) == 2:
-            return self.unit() * self.m
         if rs.pairing_simple(i, beta) == 1:
             return self.t_closed_form(i, beta)
         for _, _, value in self.steps(i, beta):
@@ -414,12 +411,11 @@ class CharacterSpecialization(LKRepresentation):
     type of r, and m = r - 1/r.  The character extends to the full-type
     Hecke algebra (any root c of c^2 + m c - 1 = 0 defines a one-dimensional
     character), so the T recursion, closed-form step included, runs in that
-    ring: every evaluated word contributes 1/r per positive letter and
-    1/r + m = r per inverse letter.  Nothing builds the generic
-    coefficients, which are far too large on the E types.  Since the base
-    derives x and l/m on first use, sigma and tau also exist at r = 1 and
-    r = -1, where m = 0, and with r symbolic, where m is not a unit of the
-    Laurent ring and x, l/m, e_i and sigma_i^-1 raise ScalarDomainError.
+    ring.  Nothing builds the generic coefficients, which are far too large
+    on the E types.  Since the base derives x and l/m on first use, sigma
+    and tau also exist at r = 1 and r = -1, where m = 0, and with r
+    symbolic, where m is not a unit of the Laurent ring and x, l/m, e_i and
+    sigma_i^-1 raise ScalarDomainError.
     """
 
     def __init__(self, rs: RootSystem, l, r):
@@ -451,12 +447,10 @@ class CharacterSpecialization(LKRepresentation):
         return self.t_char(i, beta)
 
     def t_closed_form(self, i: int, beta: Root):
-        """The closed-form word evaluated letter by letter under the character."""
-        rs = self.rs
-        s_len = len(rs.s_beta_word(beta))
-        pos = 1 + s_len + len(rs.d_beta_word(beta))
-        inv = s_len + len(rs.d_beta_word(rs.alpha(i)))
-        return self.m * self.c0 ** pos * self.r ** inv
+        """The closed-form word under the character, m r^(ht beta - 2): it has
+        ht theta + ht beta positive letters (1/r each) and 2 ht beta + ht theta
+        - 2 inverse letters (1/r + m = r each), whatever i is."""
+        return self.m * self.r ** (self.rs.height(beta) - 2)
 
 
 def _closed_form_eval(rs: RootSystem, i: int, s_word, d_b_word, d_ai_word) -> dict:

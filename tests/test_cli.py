@@ -267,6 +267,7 @@ def test_closed_stdout_exits_141_without_a_message():
     (("matrices", "--type", "A2", "--theta", "lk", "--r", "３/2"), "cannot parse rational '３/2'"),
     # ASCII digits that parse but name no positive root
     (("tcoeff", "--type", "A3", "--node", "1", "--root", "1,0,1"), "(1, 0, 1) is not a positive root of A3"),
+    (("tcoeff", "--type", "A3", "--node", "4", "--root", "1,0,0"), "node 4 out of range"),
 ])
 def test_non_ascii_digits_are_usage_errors(capsys, argv, message):
     # str.isdigit accepts superscripts that int() then rejects
@@ -298,6 +299,21 @@ def test_oversized_numbers_are_usage_errors(capsys, argv, message):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("r", ["7" * 800, "1/" + "7" * 800], ids=["r", "1/r"])
+def test_exact_character_matrices_print_past_the_digit_limit(capsys, r):
+    # r parses under int's 4300-digit limit for str(), but r^2 does not print under it
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "matrices", "--type", "D4", "--theta", "lk", "--r", r)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert payload["type"] == "D4" and sorted(payload["gamma"]) == ["1", "2", "3", "4"]
 
 
 # sha256 of stdout, recorded before Scalar moved to flat (l_exp, m_exp) keys

@@ -179,7 +179,8 @@ def _specialize(lk, mat, l0, r0):
     return mat.map_entries(value)
 
 
-@pytest.mark.parametrize("label", ["A3", "D4"])
+# A4 and D5 have a non-commutative H_C
+@pytest.mark.parametrize("label", ["A3", "D4", "A4", "D5"])
 def test_character_route_equals_specialized_generic(label):
     lk = build_lk(label)
     l0, r0 = Fraction(5, 7), Fraction(3, 2)
@@ -200,6 +201,43 @@ def test_character_route_equals_specialized_generic(label):
         sym.x
     with pytest.raises(ScalarDomainError):
         sym.e_matrix(1)
+
+
+CLOSED_FORM_TYPES = ([f"A{n}" for n in range(2, 13)] + [f"D{n}" for n in range(4, 13)]
+                     + ["E6", "E7", "E8"])
+
+
+def _closed_form_pairs(rs):
+    """Every (i, beta) that the recursion hands to the closed form."""
+    return [(i, beta) for beta in rs.positive_roots for i in rs.nodes
+            if rs.pairing_simple(i, beta) == 1 and beta != rs.alpha(i)]
+
+
+@pytest.mark.parametrize("label", CLOSED_FORM_TYPES)
+def test_character_closed_form_counts_the_word_letters(label):
+    # d_{alpha_i}^-1 s_beta^-1 s_i s_beta d_beta: 1/r per positive letter, 1/r + m = r per inverse one
+    rs = build_type(label)
+    spec = CharacterSpecialization(rs, Fraction(5, 7), Fraction(3, 2))
+    ht_theta = rs.height(rs.highest_root)
+    for i, beta in _closed_form_pairs(rs):
+        s_len, ht = len(rs.s_beta_word(beta)), rs.height(beta)
+        pos = 1 + s_len + len(rs.d_beta_word(beta))
+        inv = s_len + len(rs.d_beta_word(rs.alpha(i)))
+        # so inv - pos = ht beta - 2, whatever i is
+        assert (pos, inv) == (ht_theta + ht, 2 * ht + ht_theta - 2), (i, beta)
+        assert spec.t_closed_form(i, beta) == spec.m * spec.c0 ** pos * spec.r ** inv
+
+
+def test_generic_closed_form_is_m_at_height_two():
+    # the recursion has no height-two branch: the closed form gives T = m there
+    count = 0
+    for label in ("A2", "A3", "A5", "A8", "D4", "D5", "D6", "D8", "E6", "E7"):
+        lk = LawrenceKrammer(build_type(label))
+        for i, beta in _closed_form_pairs(lk.rs):
+            if lk.rs.height(beta) == 2:
+                assert lk.t_closed_form(i, beta) == lk.unit() * M, (label, i, beta)
+                count += 1
+    assert count == 88
 
 
 def test_character_rejects_degenerate_points():

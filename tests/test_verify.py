@@ -1,8 +1,10 @@
+from collections import defaultdict
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from bmwade import lkrep, wordalg
 from bmwade.lkrep import (
     CharacterSpecialization,
     LawrenceKrammer,
@@ -16,6 +18,7 @@ from bmwade.verify import (
     _SUITE_FNS,
     UnsupportedModeError,
     _mat_witness,
+    _suite_table1,
     _suite_zaction,
     a2_dimension_check,
     dims_report,
@@ -168,6 +171,24 @@ def test_a2_dimension_check():
     rep = a2_dimension_check()
     assert rep.passed
     assert {c.name for c in rep.checks} == {"rank_15", "g1e2g1_independent", "closure"}
+
+
+def test_a2dim_ranks_catch_a_zeroed_e1(monkeypatch):
+    lk = build_lk("A2")
+    f = lk.e_and_f(1)[1]
+    # a copy of the shared representation's memo, so that nothing built from e_1 stays
+    memo = defaultdict(dict, {name: dict(values) for name, values in lk._memo.items()})
+    memo["e_and_f"][(1,)] = (lk.matrix(lk.size), f)
+    monkeypatch.setattr(lk, "_memo", memo)
+    bad = [(c.name, c.witness) for c in a2_dimension_check().checks if not c.ok]
+    assert bad == [("g1e2g1_independent", "rank=9"), ("rank_15", "rank=10")]
+
+
+def test_a2dim_closure_catches_a_missing_braid_move(monkeypatch):
+    # without g g g -> g g g, g1 g2 g1 and g2 g1 g2 stay two words
+    monkeypatch.delitem(wordalg._MOVES, "ggg")
+    bad = [(c.name, c.witness) for c in a2_dimension_check().checks if not c.ok]
+    assert bad == [("closure", "16 words, the last ((1, 'g'), (2, 'e'), (1, 'g'))")]
 
 
 def test_run_suite_owns_the_a2dim_rules():
@@ -474,3 +495,14 @@ def test_t_hnode_oracle_catches_a_wrong_h_node_on_d4(monkeypatch):
         ("t_row7_pairing1", "i=2 j=1 beta=(1, 2, 1, 1)"),
         ("t_hnode_oracle", "i=1 beta=(1, 2, 1, 1)"),
     ]
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "A4"])
+def test_table1_row3_reads_the_closed_form(monkeypatch, label):
+    # one more factor m on every closed-form value: row 3 (T = m at height
+    # two) is the one row that compares it with a value stated outside the recursion
+    closed_form_eval = lkrep._closed_form_eval
+    monkeypatch.setattr(lkrep, "_closed_form_eval", lambda *args: {
+        (w, e, k + 1): c for (w, e, k), c in closed_form_eval(*args).items()})
+    bad = [(c.name, c.witness) for c in _suite_table1(LawrenceKrammer(build_type(label))) if not c.ok]
+    assert bad == [("t_row3_m", "i=1 j=2")]
