@@ -20,10 +20,12 @@ stored as root indices (see ``rootsys``), so descents are index and table
 tests: on the right, whether the index of w(alpha_s) is a negative root's;
 on the left, the sign of (alpha_s, w(2 rho)) read from s's tables.  A
 product walks the reduced words of whichever factor has fewer terms and
-multiplies the other factor by their letters from that side.  No word
-minimization is ever needed during multiplication.  The parabolic W_C is
-never enumerated: only elements that actually arise are materialized, which
-keeps E7-sized coefficient algebras usable.
+multiplies the other factor by their letters from that side.  When that
+factor is c T_1 with c a Scalar, its only word is empty, so the product is
+the other factor's terms times c, formed without the walk's bookkeeping.
+No word minimization is ever needed during multiplication.  The parabolic
+W_C is never enumerated: only elements that actually arise are
+materialized, which keeps E7-sized coefficient algebras usable.
 
 Elements are immutable, so operations may share a terms dict between them.
 """
@@ -222,9 +224,11 @@ class HeckeElement:
         # walk the words of the factor with fewer terms; a left word acts reversed
         left = len(self.terms) < len(other.terms)
         walked, fixed, step = (self, other, _left_mul) if left else (other, self, _right_mul)
-        fixed = fixed.terms
+        fixed, groups = fixed.terms, _by_w(walked.terms)
+        if len(groups) == 1 and rs.identity in groups:  # c T_1: an empty word, so only scale
+            return HeckeElement(rs, _times(fixed, groups[rs.identity]))
         words = [(rs.reduced_word(w)[::-1] if left else rs.reduced_word(w), c)
-                 for w, c in _by_w(walked.terms).items()]
+                 for w, c in groups.items()]
         # two words share too little to repay the walk's bookkeeping
         prods = (walk_prefixes(words, fixed, lambda t, j: step(rs, t, (j,)))
                  if len(words) > 2 else [(c, step(rs, fixed, w)) for w, c in words])

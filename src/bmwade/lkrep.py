@@ -33,7 +33,8 @@ M[gamma][beta] with coefficients on the right, so operator composition is
 plain matrix multiplication with left-factor entries multiplied first.
 Matrices are stored column-sparse: HeckeElements or Scalars in a
 :class:`SparseMatrix`, rationals in a :class:`RationalMatrix` as integers
-over one common denominator (one gcd per matrix, not one per entry product).
+over one common denominator (one gcd per matrix, not one per entry product;
+``apply`` too accumulates integers, over the vector's common denominator).
 The ring picks the type, ``LKRepresentation.matrix``.
 """
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
+from itertools import chain
 from math import gcd, lcm
 
 from .hecke import HeckeElement, ParabolicError, _left_mul, _right_mul, eval_signed_word
@@ -59,8 +61,10 @@ class SparseMatrix:
     Cell (r, c) is ``cols[c][r] / den``; no zero entry or empty column is
     stored.  Here ``den = 1`` is never divided by and a factor of 1
     multiplies nothing, so Hecke elements and Scalars are stored as they are.
-    The arithmetic is written once over this form; a subclass with its own
-    ``den`` supplies the normal form, ``_split`` and the entry I/O.
+    The arithmetic is written once over this form, each operation building
+    each result column in one loop for the trusted constructor ``_own``,
+    which keeps the fresh dicts; the public one copies.  A subclass with its
+    own ``den`` supplies ``_own``, ``_split`` and the entry I/O.
     """
 
     __slots__ = ("size", "cols")
@@ -76,9 +80,16 @@ class SparseMatrix:
                     self.cols[c] = kept
 
     @classmethod
-    def _normal(cls, size: int, cols: dict, den) -> SparseMatrix:
-        """The matrix with entries ``cols`` over ``den``, which is 1 here."""
-        return cls(size, cols)
+    def _own(cls, size: int, cols: dict, den=1) -> SparseMatrix:
+        """The matrix of the fresh column dicts ``cols`` over ``den`` (1 here),
+        kept without a copy; only a column that holds a zero is filtered."""
+        for c in [c for c, col in cols.items() if not all(col.values())]:
+            cols[c] = {r: v for r, v in cols[c].items() if v}
+            if not cols[c]:
+                del cols[c]
+        mat = cls.__new__(cls)
+        mat.size, mat.cols = size, cols
+        return mat
 
     @staticmethod
     def _split(s) -> tuple:
@@ -101,24 +112,22 @@ class SparseMatrix:
     def __bool__(self) -> bool:
         return bool(self.cols)
 
-    def _over(self, den) -> dict:
-        """A copy of the entries, brought over the multiple ``den`` of self.den."""
-        f = den // self.den
-        if f == 1:
-            return {c: dict(col) for c, col in self.cols.items()}
-        return {c: {r: v * f for r, v in col.items()} for c, col in self.cols.items()}
-
     def __add__(self, other: SparseMatrix) -> SparseMatrix:
-        den = lcm(self.den, other.den)
-        cols = self._over(den)
-        for c, col in other._over(den).items():
-            tgt = cols.setdefault(c, {})
-            for r, v in col.items():
-                tgt[r] = tgt[r] + v if r in tgt else v
-        return self._normal(self.size, cols, den)
+        den, cols = lcm(self.den, other.den), {}
+        for mat in (self, other):
+            f = den // mat.den
+            for c, col in mat.cols.items():
+                tgt = cols.get(c)
+                if tgt is None:
+                    cols[c] = dict(col) if f == 1 else {r: v * f for r, v in col.items()}
+                    continue
+                for r, v in col.items():
+                    v = v if f == 1 else v * f
+                    tgt[r] = tgt[r] + v if r in tgt else v
+        return self._own(self.size, cols, den)
 
     def __neg__(self) -> SparseMatrix:
-        return self._normal(
+        return self._own(
             self.size, {c: {r: -v for r, v in col.items()} for c, col in self.cols.items()}, self.den)
 
     def __sub__(self, other: SparseMatrix) -> SparseMatrix:
@@ -128,13 +137,14 @@ class SparseMatrix:
         """The stored entries of self times vec, left entries first, zeros kept."""
         acc: dict[int, object] = {}
         for g, bval in vec.items():
-            acol = self.cols.get(g)
-            if not acol:
+            if not (acol := self.cols.get(g)):
                 continue
-            for r, aval in acol.items():
-                prod = aval * bval
-                cur = acc.get(r)
-                acc[r] = prod if cur is None else cur + prod
+            if acc:
+                for r, aval in acol.items():
+                    acc[r] = acc[r] + aval * bval if r in acc else aval * bval
+            else:  # the first entry's terms start their cells
+                for r, aval in acol.items():
+                    acc[r] = aval * bval
         return acc
 
     def apply(self, vec: dict) -> dict:
@@ -142,9 +152,8 @@ class SparseMatrix:
         return {r: v for r, v in self._accumulate(vec).items() if v}
 
     def __mul__(self, other: SparseMatrix) -> SparseMatrix:
-        return self._normal(
-            self.size, {c: self._accumulate(col) for c, col in other.cols.items()},
-            self.den * other.den)
+        cols = {c: acc for c, bcol in other.cols.items() if (acc := self._accumulate(bcol))}
+        return self._own(self.size, cols, self.den * other.den)
 
     def map_entries(self, fn) -> SparseMatrix:
         """The matrix of fn(entry), over whatever ring fn maps into."""
@@ -154,7 +163,7 @@ class SparseMatrix:
     def scale(self, s) -> SparseMatrix:
         """self * s, with s right-multiplying every entry."""
         num, den = self._split(s)
-        return self._normal(
+        return self._own(
             self.size, {c: {r: v * num for r, v in col.items()} for c, col in self.cols.items()},
             self.den * den)
 
@@ -170,7 +179,9 @@ class RationalMatrix(SparseMatrix):
 
     The form is canonical (gcd(den, every entry) = 1), so ``==`` compares
     ``den`` and ``cols``.  The constructor takes Fraction columns, and
-    ``entry``, ``column`` and ``apply`` read and return Fractions.
+    ``entry``, ``column`` and ``apply`` read and return Fractions; ``apply``
+    accumulates integers over the vector's common denominator and builds one
+    Fraction per output entry.
     """
 
     __slots__ = ("den",)
@@ -184,13 +195,15 @@ class RationalMatrix(SparseMatrix):
         self.den = den
 
     @classmethod
-    def _normal(cls, size: int, cols: dict, den: int) -> RationalMatrix:
-        mat = cls.__new__(cls)
-        SparseMatrix.__init__(mat, size, cols)
-        g = gcd(den, *(v for col in mat.cols.values() for v in col.values()))
-        if g != 1:
-            mat.cols = {c: {r: v // g for r, v in col.items()} for c, col in mat.cols.items()}
-        mat.den = den // g
+    def _own(cls, size: int, cols: dict, den: int) -> RationalMatrix:
+        """As the base, then in lowest terms: one gcd, none when den is 1."""
+        mat = super()._own(size, cols)
+        if den != 1 and (g := gcd(den, *chain.from_iterable(map(dict.values, cols.values())))) != 1:
+            for col in cols.values():
+                for r in col:
+                    col[r] //= g
+            den //= g
+        mat.den = den
         return mat
 
     @staticmethod
@@ -206,7 +219,9 @@ class RationalMatrix(SparseMatrix):
         return None if v is None else Fraction(v, self.den)
 
     def apply(self, vec: dict) -> dict:
-        return {r: Fraction(v, self.den) for r, v in self._accumulate(vec).items() if v}
+        vden = lcm(*(v.denominator for v in vec.values()))
+        acc = self._accumulate({g: v.numerator * (vden // v.denominator) for g, v in vec.items()})
+        return {r: Fraction(v, self.den * vden) for r, v in acc.items() if v}
 
 
 def _memoized(build):

@@ -138,44 +138,53 @@ def _suite_braid(rep: LKRepresentation) -> list[CheckResult]:
 def _suite_essential(rep: LKRepresentation) -> list[CheckResult]:
     rs, out = rep.rs, []
     m, ident, zero = rep.m, rep.identity_matrix(), rep.matrix(rep.size)
+    E, S, G = rep.e_matrix, rep.sigma, rep.sigma_inv
     e_linv = {}
     for i in rs.nodes:
-        S, E = rep.sigma(i), rep.e_matrix(i)
-        e_linv[i] = E.scale(rep.linv)
-        _check_eq(out, f"r1_ge_{i}", S * E, e_linv[i], rs)
-        _check_eq(out, f"r1_eg_{i}", E * S, e_linv[i], rs)
-        _check_eq(out, f"esq_{i}", E * E, E.scale(rep.x), rs)
-        _check_eq(out, f"cubic_{i}", rep.e_and_f(i)[1] * (S - ident.scale(rep.linv)), zero, rs)
-        _check_eq(out, f"inverse_{i}", S * rep.sigma_inv(i), ident, rs)
+        Si, Ei = S(i), E(i)
+        e_linv[i] = Ei.scale(rep.linv)
+        _check_eq(out, f"r1_ge_{i}", Si * Ei, e_linv[i], rs)
+        _check_eq(out, f"r1_eg_{i}", Ei * Si, e_linv[i], rs)
+        _check_eq(out, f"esq_{i}", Ei * Ei, Ei.scale(rep.x), rs)
+        _check_eq(out, f"cubic_{i}", rep.e_and_f(i)[1] * (Si - ident.scale(rep.linv)), zero, rs)
+        _check_eq(out, f"inverse_{i}", Si * G(i), ident, rs)
+    later = {}  # the checks of each adjacent order (j, i), j > i, until their place in out
+
+    def adjacent_order(sink, i, j, P):
+        """The checks of the adjacent order (i, j), given the products P it shares with (j, i)."""
+        Ei, Si, Gi, Ej, Sj = E(i), S(i), G(i), E(j), S(j)
+        (EiSj, SjEi, EiEj, EiGj), (EjSi, SiEj, EjEi, EjGi) = P[i, j], P[j, i]
+        GiEj, SjSiEj, SjEiSj = Gi * Ej, Sj * SiEj, SjEi * Sj
+        EjEiSj, SjEiEj = Ej * EiSj, SjEi * Ej
+        _check_eq(sink, f"r2_{i}_{j}", EiSj * Ei, Ei.scale(rep.l), rs)
+        _check_eq(sink, f"wenzl_cross_{i}_{j}", EiGj * Ei, e_linv[i], rs)
+        _check_eq(sink, f"iji_gge_a_{i}_{j}", SjSiEj, EiSj * Si, rs)
+        _check_eq(sink, f"iji_gge_b_{i}_{j}", SjSiEj, EiEj, rs)
+        _check_eq(sink, f"iji_geg_a_{i}_{j}", SjEiSj, GiEj * Gi, rs)
+        expanded = (SiEj * Si + (EjSi - EiSj + SiEj - SjEi).scale(m)
+                    + (Ej - Ei).scale(m * m))
+        _check_eq(sink, f"iji_geg_b_{i}_{j}", SjEiSj, expanded, rs)
+        _check_eq(sink, f"iji_eeg_a_{i}_{j}", EjEiSj, EjGi, rs)
+        _check_eq(sink, f"iji_eeg_b_{i}_{j}", EjEiSj, EjSi + (Ej - EjEi).scale(m), rs)
+        _check_eq(sink, f"iji_gee_a_{i}_{j}", SjEiEj, GiEj, rs)
+        _check_eq(sink, f"iji_gee_b_{i}_{j}", SjEiEj, SiEj + (Ej - EiEj).scale(m), rs)
+        _check_eq(sink, f"iji_eje_{i}_{j}", EiEj * Ei, Ei, rs)
+
     for i in rs.nodes:
-        Ei, Si = rep.e_matrix(i), rep.sigma(i)
         for j in rs.nodes:
-            adjacent = j in rs.neighbors[i]
-            if j == i or (not adjacent and j < i):
-                continue
-            Ej, Sj = rep.e_matrix(j), rep.sigma(j)
-            EiSj, SjEi, EiEj = Ei * Sj, Sj * Ei, Ei * Ej
-            if not adjacent:
+            if j in rs.neighbors[i] and j > i:  # both orders, on the eight shared products
+                P = {(a, b): (E(a) * S(b), S(b) * E(a), E(a) * E(b), E(a) * G(b))
+                     for a, b in ((i, j), (j, i))}
+                adjacent_order(out, i, j, P)
+                adjacent_order(later.setdefault((j, i), []), j, i, P)
+                del P  # before the next pair's are built
+            elif j in rs.neighbors[i]:
+                out += later.pop((i, j))
+            elif j > i:
+                EiSj, SjEi, EiEj = E(i) * S(j), S(j) * E(i), E(i) * E(j)
                 _check_eq(out, f"ee_zero_{i}_{j}", EiEj, zero, rs)
                 _check_eq(out, f"commute_eg_{i}_{j}", EiSj, SjEi, rs)
-                _check_eq(out, f"commute_ee_{i}_{j}", EiEj, Ej * Ei, rs)
-                continue
-            Gi = rep.sigma_inv(i)
-            EjSi, SiEj, GiEj = Ej * Si, Si * Ej, Gi * Ej
-            SjSiEj, SjEiSj, EjEiSj, SjEiEj = Sj * SiEj, SjEi * Sj, Ej * EiSj, SjEi * Ej
-            _check_eq(out, f"r2_{i}_{j}", EiSj * Ei, Ei.scale(rep.l), rs)
-            _check_eq(out, f"wenzl_cross_{i}_{j}", Ei * rep.sigma_inv(j) * Ei, e_linv[i], rs)
-            _check_eq(out, f"iji_gge_a_{i}_{j}", SjSiEj, EiSj * Si, rs)
-            _check_eq(out, f"iji_gge_b_{i}_{j}", SjSiEj, EiEj, rs)
-            _check_eq(out, f"iji_geg_a_{i}_{j}", SjEiSj, GiEj * Gi, rs)
-            expanded = (SiEj * Si + (EjSi - EiSj + SiEj - SjEi).scale(m)
-                        + (Ej - Ei).scale(m * m))
-            _check_eq(out, f"iji_geg_b_{i}_{j}", SjEiSj, expanded, rs)
-            _check_eq(out, f"iji_eeg_a_{i}_{j}", EjEiSj, Ej * Gi, rs)
-            _check_eq(out, f"iji_eeg_b_{i}_{j}", EjEiSj, EjSi + (Ej - Ej * Ei).scale(m), rs)
-            _check_eq(out, f"iji_gee_a_{i}_{j}", SjEiEj, GiEj, rs)
-            _check_eq(out, f"iji_gee_b_{i}_{j}", SjEiEj, SiEj + (Ej - EiEj).scale(m), rs)
-            _check_eq(out, f"iji_eje_{i}_{j}", EiEj * Ei, Ei, rs)
+                _check_eq(out, f"commute_ee_{i}_{j}", EiEj, E(j) * E(i), rs)
     return out
 
 

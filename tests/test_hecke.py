@@ -336,6 +336,41 @@ def test_mul_word_matches_repeated_mul_generator():
         assert h.mul_word(word) == step
 
 
+@pytest.mark.parametrize("label", ["D4", "E6"])
+def test_central_factor_only_scales(label):
+    rs = build_type(label)
+    rng = random.Random(31)
+    c = Scalar.l(-1).scale(Fraction(2, 3)) + M * M - Scalar.from_fraction(3)
+    u = HeckeElement.unit(rs)
+
+    def letter_walk(x, fixed, left):
+        """x times fixed (left) or fixed times x, walking x's reduced words over fixed."""
+        out = HeckeElement.zero(rs)
+        for w, coeff in x.coeffs().items():
+            word = rs.reduced_word(w)
+            terms = (_left_mul(rs, fixed.terms, word[::-1]) if left
+                     else _right_mul(rs, fixed.terms, word))
+            out = out + HeckeElement(rs, terms).scale(coeff)
+        return out
+
+    xs = [u.scale(Scalar.l(2) - M.scale(5))]  # c' T_1, itself central
+    for _ in range(6):
+        x = HeckeElement.zero(rs)
+        for _ in range(rng.randint(4, 7)):
+            w = rs.identity
+            for _ in range(rng.randint(0, 10)):
+                w = rs.right_mul_simple(w, rng.choice(rs.nodes))
+            coeff = Scalar.from_fraction(rng.randint(1, 4)) * M ** rng.randint(0, 2)
+            x = x + basis(rs, w).scale(coeff)
+        xs.append(x)
+    ct1 = u.scale(c)
+    assert len(c._terms) == 3 and all(len(x.terms) > 3 for x in xs[1:])  # c T_1 is walked
+    for x in xs:
+        expected = x.scale(c)
+        assert ct1 * x == expected == letter_walk(x, ct1, left=False)
+        assert x * ct1 == expected == letter_walk(x, ct1, left=True)
+
+
 def test_walk_prefixes_steps_each_distinct_prefix_once():
     from bmwade.hecke import walk_prefixes
 

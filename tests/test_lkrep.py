@@ -343,12 +343,24 @@ def test_rational_matrix_agrees_with_fraction_entries():
             (a - b, fa - fb), (a - a, fa - fa), (-a, -fa), (a.scale(s), fa.scale(s)),
             (a + b.scale(-1), fa - fb),
         ]
+        if a:  # a sum that cancels a whole column
+            c0 = next(iter(a.cols))
+            minus = {c0: {r: -v for r, v in a.column(c0).items()}}
+            results.append((a + RationalMatrix(size, minus), fa + SparseMatrix(size, minus)))
+            assert c0 not in results[-1][0].cols
+        results.append((a.scale(0), fa.scale(Fraction(0))))
+        assert not results[-1][0]
+        operand_cols = {id(col) for mat in (a, b, fa, fb) for col in mat.cols.values()}
         for rat, ref in results:
             _assert_normal(rat)
             _assert_same_cells(rat, ref)
             assert rat == RationalMatrix(size, ref.cols)
-        assert a.apply(vec) == fa.apply(vec)
-        assert all(type(v) is Fraction for v in a.apply(vec).values())
+            if rat is not a:  # the trusted constructor owns the columns it is handed
+                assert not operand_cols & {id(col) for m in (rat, ref) for col in m.cols.values()}
+        int_vec = {r: rng.randint(-4, 4) for r in range(size) if rng.random() < 0.7}
+        for v in (vec, int_vec):  # mixed denominators, and plain ints
+            assert a.apply(v) == fa.apply(v)
+            assert all(type(x) is Fraction for x in a.apply(v).values())
         pairs = ((a, b), (a, a.scale(3).scale(Fraction(1, 3))), (a, a.scale(2)), (a * b, b * a),
                  (a - a, RationalMatrix(size)), (a, a + RationalMatrix(size, {0: {0: s}})))
         for left, right in pairs:

@@ -41,6 +41,23 @@ def test_essential_d4_contains_nonadjacent_annihilation():
     assert any(c.name == "ee_zero_1_3" for c in report.checks)
 
 
+@pytest.mark.parametrize("label,point,products", [
+    ("A3", None, 82),
+    ("D4", None, 126),
+    ("E6", (Fraction(5, 7), Fraction(3, 2)), 226),
+])
+def test_essential_builds_each_pair_product_once(count_calls, label, point, products):
+    # one order of an adjacent pair makes 19 products, 8 of which the other
+    # order reads again; built once per pair, A3, D4 and E6 (2, 3 and 5
+    # adjacent pairs) would make 16, 24 and 40 more when built per order.
+    # The count includes building sigma, e and sigma^-1 on the fresh representation.
+    rs = build_type(label)
+    rep = LawrenceKrammer(rs) if point is None else CharacterSpecialization(rs, *point)
+    calls = count_calls(SparseMatrix, "__mul__")
+    assert all(c.ok for c in _SUITE_FNS["essential"](rep))
+    assert len(calls) == products
+
+
 def test_generic_mode_rejected_for_large_types():
     with pytest.raises(UnsupportedModeError):
         run_suite("braid", "E8")

@@ -224,18 +224,12 @@ def test_rep_image_refuses_e_off_its_row():
         rep_image_word(lk, ((2, "g"), (1, "e")))
 
 
-def test_rep_image_multiplies_no_whole_matrix_after_first_e(monkeypatch):
+def test_rep_image_multiplies_no_whole_matrix_after_first_e(count_calls):
     lk = build_lk("D4")
     rs = lk.rs
     for i in rs.nodes:  # build the letter matrices before counting
         lk.sigma_inv(i)
-    calls, mul = [], SparseMatrix.__mul__
-
-    def counted(a, b):
-        calls.append((a, b))
-        return mul(a, b)
-
-    monkeypatch.setattr(SparseMatrix, "__mul__", counted)
+    calls = count_calls(SparseMatrix, "__mul__")
     rng = random.Random(3)
     letters = [(i, k) for i in rs.nodes for k in "gGe"]
     for _ in range(20):
