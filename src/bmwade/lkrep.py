@@ -33,9 +33,9 @@ M[gamma][beta] with coefficients on the right, so operator composition is
 plain matrix multiplication with left-factor entries multiplied first.
 Matrices are stored column-sparse: HeckeElements or Scalars in a
 :class:`SparseMatrix`, rationals in a :class:`RationalMatrix` as integers
-over one common denominator (one gcd per matrix, not one per entry product;
-``apply`` too accumulates integers, over the vector's common denominator).
-The ring picks the type, ``LKRepresentation.matrix``.
+over one common denominator that the arithmetic never reduces (no gcd; an
+entry read reduces its Fraction, ``apply`` accumulates integers over the
+vector's denominator).  The ring picks the type, ``LKRepresentation.matrix``.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
-from itertools import chain
-from math import gcd, lcm
+from math import lcm
 
 from .hecke import HeckeElement, ParabolicError, _left_mul, _right_mul, eval_signed_word
 from .rootsys import DynkinType, Root, RootSystem, build_type
@@ -56,22 +55,21 @@ class UnsupportedModeError(ValueError):
 
 
 class SparseMatrix:
-    """Column-sparse square matrix over any ring with +, *, unary - and bool.
+    """Column-sparse square matrix over any ring with +, -, *, unary - and bool.
 
     Cell (r, c) is ``cols[c][r] / den``; no zero entry or empty column is
-    stored.  Here ``den = 1`` is never divided by and a factor of 1
+    stored.  Here ``den = 1`` is never divided by and a coefficient of 1 or -1
     multiplies nothing, so Hecke elements and Scalars are stored as they are.
-    The arithmetic is written once over this form, each operation building
-    each result column in one loop for the trusted constructor ``_own``,
-    which keeps the fresh dicts; the public one copies.  A subclass with its
-    own ``den`` supplies ``_own``, ``_split`` and the entry I/O.
+    Every sum, difference and scaling is one :meth:`combine`; it and ``*``
+    build each result column in one pass for the trusted constructor ``_own``,
+    which keeps the fresh dicts; the public one copies.  A subclass with a
+    ``den`` of its own supplies ``_split`` and the entry I/O.
     """
 
-    __slots__ = ("size", "cols")
-    den = 1
+    __slots__ = ("size", "cols", "den")
 
     def __init__(self, size: int, cols: dict | None = None):
-        self.size = size
+        self.size, self.den = size, 1
         self.cols: dict[int, dict[int, object]] = {}
         if cols:
             for c, col in cols.items():
@@ -80,15 +78,14 @@ class SparseMatrix:
                     self.cols[c] = kept
 
     @classmethod
-    def _own(cls, size: int, cols: dict, den=1) -> SparseMatrix:
-        """The matrix of the fresh column dicts ``cols`` over ``den`` (1 here),
-        kept without a copy; only a column that holds a zero is filtered."""
+    def _own(cls, size: int, cols: dict, den) -> SparseMatrix:
+        """The matrix of the fresh dicts ``cols`` over ``den``, uncopied and with zeros dropped."""
         for c in [c for c, col in cols.items() if not all(col.values())]:
             cols[c] = {r: v for r, v in cols[c].items() if v}
             if not cols[c]:
                 del cols[c]
         mat = cls.__new__(cls)
-        mat.size, mat.cols = size, cols
+        mat.size, mat.cols, mat.den = size, cols, den
         return mat
 
     @staticmethod
@@ -106,32 +103,48 @@ class SparseMatrix:
         return self.cols.get(c, {}).get(r)
 
     def __eq__(self, other) -> bool:
-        return (type(other) is type(self) and self.size == other.size
-                and self.den == other.den and self.cols == other.cols)
+        """Cellwise: ``cols`` over one ``den``, else cross-multiplied entries."""
+        if type(other) is not type(self) or self.size != other.size:
+            return False
+        if (a := other.den) == (b := self.den):
+            return self.cols == other.cols
+        return self.cols.keys() == other.cols.keys() and all(
+            col.keys() == (ocol := other.cols[c]).keys()
+            and all(v * a == ocol[r] * b for r, v in col.items())
+            for c, col in self.cols.items())
 
     def __bool__(self) -> bool:
         return bool(self.cols)
 
-    def __add__(self, other: SparseMatrix) -> SparseMatrix:
-        den, cols = lcm(self.den, other.den), {}
-        for mat in (self, other):
-            f = den // mat.den
+    @classmethod
+    def combine(cls, *terms) -> SparseMatrix:
+        """The sum of mat * s over the (mat, s) terms, s right-multiplying every
+        entry, built column by column in one pass over the terms."""
+        scaled = [(mat, k, mat.den * d) for mat, s in terms for k, d in [cls._split(s)] if k]
+        den, cols = lcm(*(d for *_, d in scaled)), {}
+        for mat, k, d in scaled:
+            k = k if d == den else k * (den // d)
+            one, neg = k == 1, k == -1
             for c, col in mat.cols.items():
-                tgt = cols.get(c)
-                if tgt is None:
-                    cols[c] = dict(col) if f == 1 else {r: v * f for r, v in col.items()}
-                    continue
-                for r, v in col.items():
-                    v = v if f == 1 else v * f
-                    tgt[r] = tgt[r] + v if r in tgt else v
-        return self._own(self.size, cols, den)
+                if (tgt := cols.get(c)) is None:
+                    cols[c] = dict(col) if one else {r: -v if neg else v * k for r, v in col.items()}
+                elif one:
+                    for r, v in col.items():
+                        tgt[r] = tgt[r] + v if r in tgt else v
+                else:
+                    for r, v in col.items():
+                        v = -v if neg else v * k
+                        tgt[r] = tgt[r] + v if r in tgt else v
+        return cls._own(terms[0][0].size, cols, den)
+
+    def __add__(self, other: SparseMatrix) -> SparseMatrix:
+        return self.combine((self, 1), (other, 1))
 
     def __neg__(self) -> SparseMatrix:
-        return self._own(
-            self.size, {c: {r: -v for r, v in col.items()} for c, col in self.cols.items()}, self.den)
+        return self.combine((self, -1))
 
     def __sub__(self, other: SparseMatrix) -> SparseMatrix:
-        return self + (-other)
+        return self.combine((self, 1), (other, -1))
 
     def _accumulate(self, vec: dict) -> dict:
         """The stored entries of self times vec, left entries first, zeros kept."""
@@ -162,10 +175,7 @@ class SparseMatrix:
 
     def scale(self, s) -> SparseMatrix:
         """self * s, with s right-multiplying every entry."""
-        num, den = self._split(s)
-        return self._own(
-            self.size, {c: {r: v * num for r, v in col.items()} for c, col in self.cols.items()},
-            self.den * den)
+        return self.combine((self, s))
 
     def to_json_columns(self, entry_json) -> list:
         return [
@@ -175,16 +185,16 @@ class SparseMatrix:
 
 
 class RationalMatrix(SparseMatrix):
-    """A matrix over Q: integers over one denominator ``den > 0``, in lowest terms.
+    """A matrix over Q: integers over one denominator ``den > 0``.
 
-    The form is canonical (gcd(den, every entry) = 1), so ``==`` compares
-    ``den`` and ``cols``.  The constructor takes Fraction columns, and
-    ``entry``, ``column`` and ``apply`` read and return Fractions; ``apply``
-    accumulates integers over the vector's common denominator and builds one
-    Fraction per output entry.
+    The constructor takes Fraction columns and stores them in lowest terms;
+    the arithmetic keeps its operands' denominator product (or lcm) as it
+    is, so ``==`` cross-multiplies when two ``den`` differ.  ``entry``,
+    ``column`` and ``apply`` return reduced Fractions; ``apply`` accumulates
+    integers over the vector's common denominator.
     """
 
-    __slots__ = ("den",)
+    __slots__ = ()
 
     def __init__(self, size: int, cols: dict | None = None):
         fracs = {c: {r: Fraction(v) for r, v in col.items()} for c, col in (cols or {}).items()}
@@ -193,18 +203,6 @@ class RationalMatrix(SparseMatrix):
         super().__init__(size, {c: {r: v.numerator * (den // v.denominator) for r, v in col.items()}
                                 for c, col in fracs.items()})
         self.den = den
-
-    @classmethod
-    def _own(cls, size: int, cols: dict, den: int) -> RationalMatrix:
-        """As the base, then in lowest terms: one gcd, none when den is 1."""
-        mat = super()._own(size, cols)
-        if den != 1 and (g := gcd(den, *chain.from_iterable(map(dict.values, cols.values())))) != 1:
-            for col in cols.values():
-                for r in col:
-                    col[r] //= g
-            den //= g
-        mat.den = den
-        return mat
 
     @staticmethod
     def _split(s) -> tuple[int, int]:
@@ -272,6 +270,7 @@ class LKRepresentation:
     def l_over_m(self):
         return self.l / self.m
 
+    @_memoized
     def z_inv(self, j: int):
         """z_j^-1 = z_j + m."""
         return self.z(j) + self.unit() * self.m
@@ -357,7 +356,7 @@ class LKRepresentation:
     def e_and_f(self, i: int) -> tuple[SparseMatrix, SparseMatrix]:
         """f_i = sigma_i^2 + m sigma_i - 1 and e_i = (l/m) f_i."""
         s = self.sigma(i)
-        f = s * s + s.scale(self.m) - self.identity_matrix()
+        f = self.matrix.combine((s * s, 1), (s, self.m), (self.identity_matrix(), -1))
         return f.scale(self.l_over_m), f
 
     def e_matrix(self, i: int) -> SparseMatrix:
@@ -365,7 +364,8 @@ class LKRepresentation:
 
     @_memoized
     def sigma_inv(self, i: int) -> SparseMatrix:
-        return self.sigma(i) + (self.identity_matrix() - self.e_matrix(i)).scale(self.m)
+        return self.matrix.combine(  # sigma_i + m (1 - e_i)
+            (self.sigma(i), 1), (self.identity_matrix(), self.m), (self.e_matrix(i), -self.m))
 
     def word_apply(self, word, vec: dict) -> dict:
         """sigma_{w_1} ... sigma_{w_k} applied to the column vec, last letter first."""

@@ -138,7 +138,7 @@ def _suite_braid(rep: LKRepresentation) -> list[CheckResult]:
 def _suite_essential(rep: LKRepresentation) -> list[CheckResult]:
     rs, out = rep.rs, []
     m, ident, zero = rep.m, rep.identity_matrix(), rep.matrix(rep.size)
-    E, S, G = rep.e_matrix, rep.sigma, rep.sigma_inv
+    E, S, G, C = rep.e_matrix, rep.sigma, rep.sigma_inv, rep.matrix.combine
     e_linv = {}
     for i in rs.nodes:
         Si, Ei = S(i), E(i)
@@ -146,7 +146,7 @@ def _suite_essential(rep: LKRepresentation) -> list[CheckResult]:
         _check_eq(out, f"r1_ge_{i}", Si * Ei, e_linv[i], rs)
         _check_eq(out, f"r1_eg_{i}", Ei * Si, e_linv[i], rs)
         _check_eq(out, f"esq_{i}", Ei * Ei, Ei.scale(rep.x), rs)
-        _check_eq(out, f"cubic_{i}", rep.e_and_f(i)[1] * (Si - ident.scale(rep.linv)), zero, rs)
+        _check_eq(out, f"cubic_{i}", rep.e_and_f(i)[1] * C((Si, 1), (ident, -rep.linv)), zero, rs)
         _check_eq(out, f"inverse_{i}", Si * G(i), ident, rs)
     later = {}  # the checks of each adjacent order (j, i), j > i, until their place in out
 
@@ -161,13 +161,13 @@ def _suite_essential(rep: LKRepresentation) -> list[CheckResult]:
         _check_eq(sink, f"iji_gge_a_{i}_{j}", SjSiEj, EiSj * Si, rs)
         _check_eq(sink, f"iji_gge_b_{i}_{j}", SjSiEj, EiEj, rs)
         _check_eq(sink, f"iji_geg_a_{i}_{j}", SjEiSj, GiEj * Gi, rs)
-        expanded = (SiEj * Si + (EjSi - EiSj + SiEj - SjEi).scale(m)
-                    + (Ej - Ei).scale(m * m))
+        expanded = C((SiEj * Si, 1), (EjSi, m), (EiSj, -m), (SiEj, m), (SjEi, -m),
+                     (Ej, m * m), (Ei, -m * m))
         _check_eq(sink, f"iji_geg_b_{i}_{j}", SjEiSj, expanded, rs)
         _check_eq(sink, f"iji_eeg_a_{i}_{j}", EjEiSj, EjGi, rs)
-        _check_eq(sink, f"iji_eeg_b_{i}_{j}", EjEiSj, EjSi + (Ej - EjEi).scale(m), rs)
+        _check_eq(sink, f"iji_eeg_b_{i}_{j}", EjEiSj, C((EjSi, 1), (Ej, m), (EjEi, -m)), rs)
         _check_eq(sink, f"iji_gee_a_{i}_{j}", SjEiEj, GiEj, rs)
-        _check_eq(sink, f"iji_gee_b_{i}_{j}", SjEiEj, SiEj + (Ej - EiEj).scale(m), rs)
+        _check_eq(sink, f"iji_gee_b_{i}_{j}", SjEiEj, C((SiEj, 1), (Ej, m), (EiEj, -m)), rs)
         _check_eq(sink, f"iji_eje_{i}_{j}", EiEj * Ei, Ei, rs)
 
     for i in rs.nodes:

@@ -88,7 +88,7 @@ def test_criterion_3_generic_relation_suites():
 
 
 def test_criterion_4_specialized_suites_e_types():
-    sw = _Stopwatch(4, 20.0)
+    sw = _Stopwatch(4, 10.0)
     points = [(DEFAULT_L0, DEFAULT_R0)] + seeded_points()
     for label in ("E6", "E7", "E8"):
         for l0, r0 in points:

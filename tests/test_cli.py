@@ -359,6 +359,10 @@ OUTPUT_DIGESTS = [
      "c60e7c11b3bae8fb5dd9f48c59d0f855011d7b2a65bea457e97ce8af90930229"),
     (("matrices", "--type", "E6", "--theta", "lk"),
      "f0bd7554acd0b4c8f935eaecc8538dfb1102f06e05f506e24b96047cd40d4fa7"),
+    # recorded before specialized matrices kept their denominators unreduced
+    # and each linear combination became one pass
+    (("verify", "--type", "E7", "--suite", "all", "--specialize", "l=5/7,r=3/2", "--json"),
+     "090af26b312ff1e01bcfbf19d26d92af230525790f962fc537cd925f128f0c76"),
 ]
 
 

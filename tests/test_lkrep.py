@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -311,10 +310,21 @@ def _cancelling_pair(size):
 
 
 def _assert_normal(mat):
+    # the arithmetic leaves den unreduced: any positive int, over int entries
     assert type(mat) is RationalMatrix and type(mat.den) is int and mat.den > 0
     values = [v for col in mat.cols.values() for v in col.values()]
     assert all(mat.cols.values()) and all(type(v) is int and v for v in values)
-    assert gcd(mat.den, *values) == 1  # the zero matrix has den 1
+
+
+def _combined_cells(size, terms):
+    """Reference columns of the sum of mat * s over terms, one Fraction cell at a time."""
+    cols = {}
+    for c in range(size):
+        for r in range(size):
+            cell = sum((Fraction(mat.entry(r, c) or 0) * s for mat, s in terms), Fraction(0))
+            if cell:
+                cols.setdefault(c, {})[r] = cell
+    return cols
 
 
 def _assert_same_cells(rat, ref):
@@ -333,6 +343,7 @@ def test_rational_matrix_agrees_with_fraction_entries():
     for size in (2, 5, 8):
         cases.append((size, *_cancelling_pair(size)))
         cases.append((size, {}, _random_columns(rng, size)))
+    unreduced = 0
     for size, acols, bcols in cases:
         a, b = RationalMatrix(size, acols), RationalMatrix(size, bcols)
         fa, fb = SparseMatrix(size, acols), SparseMatrix(size, bcols)
@@ -350,11 +361,24 @@ def test_rational_matrix_agrees_with_fraction_entries():
             assert c0 not in results[-1][0].cols
         results.append((a.scale(0), fa.scale(Fraction(0))))
         assert not results[-1][0]
+        # one to seven terms, with +-1, rational and zero coefficients, against a cellwise sum
+        pool = [a, b, a * b, b.scale(Fraction(1, 3)), a - b, RationalMatrix(size)]
+        for n in range(1, 8):
+            terms = [(rng.choice(pool), rng.choice((1, -1, Fraction(-1), s, Fraction(5, 6), 0)))
+                     for _ in range(n)]
+            ref = SparseMatrix(size, _combined_cells(size, terms))
+            results.append((RationalMatrix.combine(*terms), ref))
+        ab = a * b
+        cancel = ((ab, Fraction(2, 3)), (a, 1), (ab, Fraction(-2, 3)), (a, -1), (b, 0))
+        results.append((RationalMatrix.combine(*cancel), SparseMatrix(size)))
+        assert not results[-1][0]
         operand_cols = {id(col) for mat in (a, b, fa, fb) for col in mat.cols.values()}
         for rat, ref in results:
             _assert_normal(rat)
             _assert_same_cells(rat, ref)
-            assert rat == RationalMatrix(size, ref.cols)
+            reduced = RationalMatrix(size, ref.cols)
+            unreduced += rat.den != reduced.den
+            assert rat == reduced and reduced == rat
             if rat is not a:  # the trusted constructor owns the columns it is handed
                 assert not operand_cols & {id(col) for m in (rat, ref) for col in m.cols.values()}
         int_vec = {r: rng.randint(-4, 4) for r in range(size) if rng.random() < 0.7}
@@ -362,13 +386,16 @@ def test_rational_matrix_agrees_with_fraction_entries():
             assert a.apply(v) == fa.apply(v)
             assert all(type(x) is Fraction for x in a.apply(v).values())
         pairs = ((a, b), (a, a.scale(3).scale(Fraction(1, 3))), (a, a.scale(2)), (a * b, b * a),
-                 (a - a, RationalMatrix(size)), (a, a + RationalMatrix(size, {0: {0: s}})))
+                 (a - a, RationalMatrix(size)), (a, a + RationalMatrix(size, {0: {0: s}})),
+                 (a, a.scale(Fraction(1, 2))), (a * b, RationalMatrix(size, (a * b).cols)))
         for left, right in pairs:
             cellwise = all(left.entry(r, c) == right.entry(r, c)
                            for r in range(size) for c in range(size))
             assert (left == right) == cellwise
+    assert unreduced  # == met unequal denominators, an unreduced result against lowest terms
     a, b = (RationalMatrix(3, cols) for cols in _cancelling_pair(3))
-    assert not a * b and (a * b).den == 1
+    _assert_normal(a * b)  # the zero product: no empty column left
+    assert not a * b
 
 
 def _product_column(a, b, c):
