@@ -34,8 +34,8 @@ plain matrix multiplication with left-factor entries multiplied first.
 Matrices are stored column-sparse: HeckeElements or Scalars in a
 :class:`SparseMatrix`, rationals in a :class:`RationalMatrix` as integers
 over one common denominator that the arithmetic never reduces (no gcd; an
-entry read reduces its Fraction, ``apply`` accumulates integers over the
-vector's denominator).  The ring picks the type, ``LKRepresentation.matrix``.
+entry read reduces its Fraction).  A vector is a one-column matrix, so ``*``
+is the one product.  The ring picks the type, ``LKRepresentation.matrix``.
 """
 
 from __future__ import annotations
@@ -160,10 +160,6 @@ class SparseMatrix:
                     acc[r] = aval * bval
         return acc
 
-    def apply(self, vec: dict) -> dict:
-        """The column self * vec, left entries first and without zero entries."""
-        return {r: v for r, v in self._accumulate(vec).items() if v}
-
     def __mul__(self, other: SparseMatrix) -> SparseMatrix:
         cols = {c: acc for c, bcol in other.cols.items() if (acc := self._accumulate(bcol))}
         return self._own(self.size, cols, self.den * other.den)
@@ -189,9 +185,8 @@ class RationalMatrix(SparseMatrix):
 
     The constructor takes Fraction columns and stores them in lowest terms;
     the arithmetic keeps its operands' denominator product (or lcm) as it
-    is, so ``==`` cross-multiplies when two ``den`` differ.  ``entry``,
-    ``column`` and ``apply`` return reduced Fractions; ``apply`` accumulates
-    integers over the vector's common denominator.
+    is, so ``==`` cross-multiplies when two ``den`` differ.  ``entry`` and
+    ``column`` return reduced Fractions.
     """
 
     __slots__ = ()
@@ -215,11 +210,6 @@ class RationalMatrix(SparseMatrix):
     def entry(self, r: int, c: int):
         v = self.cols.get(c, {}).get(r)
         return None if v is None else Fraction(v, self.den)
-
-    def apply(self, vec: dict) -> dict:
-        vden = lcm(*(v.denominator for v in vec.values()))
-        acc = self._accumulate({g: v.numerator * (vden // v.denominator) for g, v in vec.items()})
-        return {r: Fraction(v, self.den * vden) for r, v in acc.items() if v}
 
 
 def _memoized(build):
@@ -367,10 +357,10 @@ class LKRepresentation:
         return self.matrix.combine(  # sigma_i + m (1 - e_i)
             (self.sigma(i), 1), (self.identity_matrix(), self.m), (self.e_matrix(i), -self.m))
 
-    def word_apply(self, word, vec: dict) -> dict:
-        """sigma_{w_1} ... sigma_{w_k} applied to the column vec, last letter first."""
+    def word_apply(self, word, vec: SparseMatrix) -> SparseMatrix:
+        """sigma_{w_1} ... sigma_{w_k} times the one-column matrix vec, last letter first."""
         for i in reversed(word):
-            vec = self.sigma(i).apply(vec)
+            vec = self.sigma(i) * vec
         return vec
 
 

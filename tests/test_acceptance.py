@@ -188,10 +188,11 @@ def test_criterion_9_structural_properties():
         assert report.passed, label
         # sigma of a geodesic word carries x_{alpha_i} to x_{alpha_k}
         for i in rs.nodes:
+            a = rs.root_index[rs.alpha(i)]
             for k in rs.nodes:
-                col = lk.word_apply(rs.geodesic_word(i, k),
-                                    {rs.root_index[rs.alpha(i)]: lk.unit()})
-                assert col == {rs.root_index[rs.alpha(k)]: lk.unit()}, (label, i, k)
+                col = lk.word_apply(rs.geodesic_word(i, k), lk.matrix(lk.size, {a: {a: lk.unit()}}))
+                expect = lk.matrix(lk.size, {a: {rs.root_index[rs.alpha(k)]: lk.unit()}})
+                assert col == expect, (label, i, k)
         # every T coefficient is l-free, and f lives in the alpha_i row
         for i in rs.nodes:
             ai = rs.root_index[rs.alpha(i)]

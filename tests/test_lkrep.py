@@ -115,9 +115,10 @@ def test_sigma_word_moves_basis_vectors(label):
     lk = build_lk(label)
     rs = lk.rs
     for i in rs.nodes:
+        a = rs.root_index[rs.alpha(i)]
         for k in rs.nodes:
-            col = lk.word_apply(rs.geodesic_word(i, k), {rs.root_index[rs.alpha(i)]: lk.unit()})
-            assert col == {rs.root_index[rs.alpha(k)]: lk.unit()}
+            col = lk.word_apply(rs.geodesic_word(i, k), lk.matrix(lk.size, {a: {a: lk.unit()}}))
+            assert col == lk.matrix(lk.size, {a: {rs.root_index[rs.alpha(k)]: lk.unit()}})
 
 
 def test_f_matrix_values_on_d4():
@@ -343,7 +344,7 @@ def test_rational_matrix_agrees_with_fraction_entries():
     for size in (2, 5, 8):
         cases.append((size, *_cancelling_pair(size)))
         cases.append((size, {}, _random_columns(rng, size)))
-    unreduced = 0
+    unreduced = unequal_den = 0
     for size, acols, bcols in cases:
         a, b = RationalMatrix(size, acols), RationalMatrix(size, bcols)
         fa, fb = SparseMatrix(size, acols), SparseMatrix(size, bcols)
@@ -382,9 +383,14 @@ def test_rational_matrix_agrees_with_fraction_entries():
             if rat is not a:  # the trusted constructor owns the columns it is handed
                 assert not operand_cols & {id(col) for m in (rat, ref) for col in m.cols.values()}
         int_vec = {r: rng.randint(-4, 4) for r in range(size) if rng.random() < 0.7}
-        for v in (vec, int_vec):  # mixed denominators, and plain ints
-            assert a.apply(v) == fa.apply(v)
-            assert all(type(x) is Fraction for x in a.apply(v).values())
+        for v in (vec, int_vec):  # a one-column matrix of mixed denominators, and of plain ints
+            c = size - 1
+            rv, fv = RationalMatrix(size, {c: v}), SparseMatrix(size, {c: v})
+            unequal_den += a.den != rv.den
+            _assert_normal(a * rv)
+            _assert_same_cells(a * rv, fa * fv)
+            assert (a * rv).column(c) == _product_column(fa, v)
+            assert all(type(x) is Fraction for x in (a * rv).column(c).values())
         pairs = ((a, b), (a, a.scale(3).scale(Fraction(1, 3))), (a, a.scale(2)), (a * b, b * a),
                  (a - a, RationalMatrix(size)), (a, a + RationalMatrix(size, {0: {0: s}})),
                  (a, a.scale(Fraction(1, 2))), (a * b, RationalMatrix(size, (a * b).cols)))
@@ -393,17 +399,18 @@ def test_rational_matrix_agrees_with_fraction_entries():
                            for r in range(size) for c in range(size))
             assert (left == right) == cellwise
     assert unreduced  # == met unequal denominators, an unreduced result against lowest terms
+    assert unequal_den  # and * met a one-column operand over another denominator
     a, b = (RationalMatrix(3, cols) for cols in _cancelling_pair(3))
     _assert_normal(a * b)  # the zero product: no empty column left
     assert not a * b
 
 
-def _product_column(a, b, c):
-    """Reference column c of a * b, one cell at a time, left entry first."""
+def _product_column(a, vec):
+    """Reference a * vec for a column dict vec, one cell at a time, left entry first."""
     out = {}
     for r in range(a.size):
         acc = None
-        for g, bval in b.column(c).items():
+        for g, bval in vec.items():
             aval = a.entry(r, g)
             if aval is not None:
                 acc = aval * bval if acc is None else acc + aval * bval
@@ -417,7 +424,7 @@ def _product_column(a, b, c):
     ("A4", None),  # C is of type A2, so the generic entries do not commute
     ("E6", (Fraction(5, 7), Fraction(3, 2))),
 ])
-def test_apply_is_one_column_of_the_product(label, point):
+def test_one_column_product_is_that_column_of_the_product(label, point):
     lk = build_lk(label)
     rep = lk if point is None else CharacterSpecialization(lk.rs, *point)
     i, j = rep.rs.nodes[0], rep.rs.nodes[1]
@@ -426,6 +433,6 @@ def test_apply_is_one_column_of_the_product(label, point):
         for b in mats:
             prod = a * b
             for c in range(rep.size):
-                col = a.apply(b.column(c))
-                assert all(col.values())
-                assert col == prod.column(c) == _product_column(a, b, c), (label, c)
+                col = a * rep.matrix(rep.size, {c: b.column(c)})
+                assert set(col.cols) <= {c} and all(col.column(c).values())
+                assert col.column(c) == prod.column(c) == _product_column(a, b.column(c)), (label, c)

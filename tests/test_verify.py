@@ -1,3 +1,4 @@
+import time
 from collections import defaultdict
 from fractions import Fraction
 from math import factorial
@@ -16,6 +17,7 @@ from bmwade.rootsys import build_type
 from bmwade.scalar import Scalar
 from bmwade.verify import (
     _SUITE_FNS,
+    CheckResult,
     UnsupportedModeError,
     _mat_witness,
     _suite_table1,
@@ -26,6 +28,7 @@ from bmwade.verify import (
     run_suite,
     seeded_points,
 )
+from test_lkrep import _product_column
 
 
 def test_all_suites_a2_generic():
@@ -220,19 +223,67 @@ def test_sparse_matrix_witness_none_for_equal_zero():
     assert _mat_witness(SparseMatrix(3), SparseMatrix(3), build_lk("A2").rs) is None
 
 
+def _corrupt_e6_sigma_1(rep):
+    """+1 on sigma_1's diagonal cell at the first root orthogonal to alpha_1; e and f rebuilt."""
+    rs = rep.rs
+    b_idx = rs.root_index[next(b for b in rs.positive_roots if rs.pairing_simple(1, b) == 0)]
+    _corrupt_cell(rep.sigma(1), rep, b_idx, b_idx)
+    assert rep.sigma(1).cols[b_idx][b_idx]
+    rep._memo["e_and_f"].clear()
+
+
 def test_zaction_catches_a_corrupted_sigma_cell_on_e6():
     rep = CharacterSpecialization(build_type("E6"), Fraction(5, 7), Fraction(3, 2))
-    rs = rep.rs
-    beta = next(b for b in rs.positive_roots if rs.pairing_simple(1, b) == 0)
-    b_idx = rs.root_index[beta]
-    s1 = rep.sigma(1)
-    # +1 to the cell: its stored integer is over s1.den
-    s1.cols[b_idx][b_idx] = s1.cols[b_idx].get(b_idx, 0) + s1.den
-    assert s1.cols[b_idx][b_idx]
-    rep._memo["e_and_f"].clear()
+    _corrupt_e6_sigma_1(rep)
     checks = _suite_zaction(rep)
-    assert [c.name for c in checks] == [f"zaction_{i}" for i in rs.nodes]
+    assert [c.name for c in checks] == [f"zaction_{i}" for i in rep.rs.nodes]
     assert all(not c.ok and c.witness == "j=1 k=6" for c in checks)
+
+
+def _reference_zaction(rep):
+    """The zaction suite over dict columns, pushed by _product_column, each result
+    read by its keys and its one value."""
+    rs, out = rep.rs, []
+
+    def push(word, col):
+        for s in reversed(word):
+            col = _product_column(rep.sigma(s), col)
+        return col
+
+    for i in rs.nodes:
+        ai_idx = rs.root_index[rs.alpha(i)]
+        bad = None
+        for k in rs.nodes:
+            far = [j for j in rs.nodes if j != k and j not in rs.neighbors[k]]
+            if not far:
+                continue
+            pushed = push(rs.geodesic_word(i, k), rep.e_matrix(i).column(ai_idx))
+            for j in far:
+                col = push(rs.geodesic_word(k, i), _product_column(rep.sigma(j), pushed))
+                expect = rep.h_elem(rs.alpha(k), j) * rep.x
+                good = set(col) <= {ai_idx} and col.get(ai_idx, 0) == expect
+                if not good and bad is None:
+                    bad = f"j={j} k={k}"
+        out.append(CheckResult(f"zaction_{i}", bad is None, bad))
+    return out
+
+
+@pytest.mark.parametrize("label, point, corrupt", [
+    ("A3", None, False),
+    ("A4", None, False),
+    ("D4", None, False),
+    ("E6", (Fraction(5, 7), Fraction(3, 2)), False),
+    ("E6", (Fraction(5, 7), Fraction(3, 2)), True),
+], ids=["A3", "A4", "D4", "E6", "E6-corrupted"])
+def test_zaction_agrees_with_the_dict_column_reference(label, point, corrupt):
+    rs = build_type(label)
+    rep = LawrenceKrammer(rs) if point is None else CharacterSpecialization(rs, *point)
+    if corrupt:
+        _corrupt_e6_sigma_1(rep)
+    checks = _suite_zaction(rep)
+    assert checks == _reference_zaction(rep)
+    witness = "j=1 k=6" if corrupt else None
+    assert checks == [CheckResult(f"zaction_{i}", not corrupt, witness) for i in rs.nodes]
 
 
 def _corrupt_cell(mat, rep, row, col):
@@ -512,6 +563,48 @@ def test_t_hnode_oracle_catches_a_wrong_h_node_on_d4(monkeypatch):
         ("t_row7_pairing1", "i=2 j=1 beta=(1, 2, 1, 1)"),
         ("t_hnode_oracle", "i=1 beta=(1, 2, 1, 1)"),
     ]
+
+
+# the catalogue walk on generic A3: every check name of --suite all fails under
+# at least one corruption of a fixed catalogue, each +1 on one cell x_{alpha_i}
+# <- x_{alpha_j} of sigma_i, e_i, f_i or tau_i (before anything is built from
+# it), or on one T memo entry after a first table1 run.  The names that no
+# corruption fails, each with its reason:
+UNCATALOGUED_A3 = {
+    "t_both_orthogonal": "no instance on A3; T_MEMO_CONTROLS fails it on A4",
+    "t_choice_commuting_step": "no instance on A3; T_MEMO_CONTROLS fails it on A4",
+    "t_hnode_oracle": "reads the cached build_lk, which no corruption of the representation "
+                      "under test reaches; its control moves an h node on D4",
+    "t_lfree": "+1 puts no l into a T entry; its control multiplies one by l on A4",
+}
+
+
+def test_catalogue_walk_fails_every_check_name_on_a3():
+    start = time.perf_counter()
+    rs = build_type("A3")
+    names = {c.name for c in run_suite("all", "A3").checks}
+    matrices = (LawrenceKrammer.sigma, LawrenceKrammer.e_matrix,
+                lambda rep, i: rep.e_and_f(i)[1], LawrenceKrammer.tau)
+
+    def failing(rep):
+        return {c.name for fn in _SUITE_FNS.values() for c in fn(rep) if not c.ok}
+
+    failed = set()
+    for get in matrices:
+        for i in rs.nodes:
+            for j in rs.nodes:
+                rep = LawrenceKrammer(rs)
+                _corrupt_cell(get(rep, i), rep, rs.root_index[rs.alpha(i)], rs.root_index[rs.alpha(j)])
+                failed |= failing(rep)
+    first = LawrenceKrammer(rs)
+    _SUITE_FNS["table1"](first)
+    for key in _t_memo(first):
+        rep = LawrenceKrammer(rs)
+        _SUITE_FNS["table1"](rep)
+        _t_memo(rep)[key] += rep.unit()
+        failed |= failing(rep)
+    assert names - failed == set(UNCATALOGUED_A3)
+    assert time.perf_counter() - start <= 10.0
 
 
 @pytest.mark.parametrize("label", ["A3", "D4", "A4"])
