@@ -16,13 +16,15 @@ The basis is normalized so that T_s = z_s satisfies z^2 = 1 - m z, hence
 z^-1 = z + m.  On the right, T_w z_s = T_{ws} when l(ws) > l(w) and
 T_{ws} - m T_w otherwise; on the left, z_s T_w = T_{sw} when l(sw) > l(w)
 and T_{sw} - m T_w otherwise (Geck-Pfeiffer 2000, 4.4).  Basis elements are
-stored as root indices (see ``rootsys``), so descents are index and table
-tests: on the right, whether the index of w(alpha_s) is a negative root's;
-on the left, the sign of (alpha_s, w(2 rho)) read from s's tables.  A
-product walks the reduced words of whichever factor has fewer terms and
-multiplies the other factor by their letters from that side.  When that
-factor is c T_1 with c a Scalar, its only word is empty, so the product is
-the other factor's terms times c, formed without the walk's bookkeeping.
+stored as bytes of root indices (see ``rootsys``), so descents are index and
+table tests: on the right, whether the index of w(alpha_s) is a negative
+root's; on the left, the sign of (alpha_s, w(2 rho)) read from s's tables.
+Bytes hashes are salted per process, so walks follow dict order, never a
+set's.  A product walks the reduced words of whichever factor has fewer
+terms and multiplies the other factor by their letters from that side.
+When either factor is c T_1 with c a Scalar, its only word is empty, so
+the product is the other factor's terms times c, formed without the walk's
+bookkeeping.
 No word minimization is ever needed during multiplication.  The parabolic
 W_C is never enumerated: only elements that actually arise are
 materialized, which keeps E7-sized coefficient algebras usable.
@@ -227,6 +229,8 @@ class HeckeElement:
         fixed, groups = fixed.terms, _by_w(walked.terms)
         if len(groups) == 1 and rs.identity in groups:  # c T_1: an empty word, so only scale
             return HeckeElement(rs, _times(fixed, groups[rs.identity]))
+        if all(w == rs.identity for w, _, _ in fixed):  # the same on the fixed side
+            return HeckeElement(rs, _times(walked.terms, {key[1:]: c for key, c in fixed.items()}))
         words = [(rs.reduced_word(w)[::-1] if left else rs.reduced_word(w), c)
                  for w, c in groups.items()]
         # two words share too little to repay the walk's bookkeeping
@@ -242,7 +246,7 @@ class HeckeElement:
     def project_subalgebra(self, nodes) -> HeckeElement:
         """This element, checked to lie in the parabolic on nodes, or fail naming the offender."""
         nodes = frozenset(nodes)
-        for w in {w for w, _, _ in self.terms}:
+        for w in dict.fromkeys(w for w, _, _ in self.terms):  # dict order: bytes hashes are salted
             if not in_parabolic(self.rs, w, nodes):
                 word = self.rs.reduced_word(w)
                 raise ParabolicError(

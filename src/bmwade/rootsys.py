@@ -8,9 +8,13 @@ Conventions, fixed once and used everywhere downstream:
 * A root is a tuple of n integer coefficients over the simple roots.
 * The 2N roots are indexed once: positive roots at 0..N-1 in
   ``positive_roots`` order, their negatives at N..2N-1.  A Weyl group
-  element w is stored as the tuple of the indices of w(alpha_1), ...,
+  element w is stored as the ``bytes`` of the indices of w(alpha_1), ...,
   w(alpha_n), so multiplying by a simple reflection and testing a descent
-  are lookups in tables bounded by the root system and built on first use.
+  are lookups in tables bounded by the root system and built on first use;
+  r_j w is one ``bytes.translate``.  Bytes of one length sort like index
+  tuples.  A byte holds an index below 256, so Weyl group elements reach
+  ``MAX_WEYL_ROOTS`` = 128 positive roots (E8 has 120); bytes hashes are
+  salted per process, so nothing that reaches output walks a set of them.
   A word [a, b, c] denotes r_a r_b r_c, with r_c acting first.
 * ``d_beta_word(beta)`` is a reduced word for the inverse of the shortest
   element carrying beta to the highest root; its letters are exactly the
@@ -36,8 +40,9 @@ from functools import cached_property, lru_cache
 from operator import add, getitem
 
 Root = tuple  # tuple[int, ...] over the simple roots
-Weyl = tuple  # tuple[int, ...] root indices of the images of the simple roots
+Weyl = bytes  # root indices of the images of the simple roots, one byte each
 MAX_RANK = 100  # refuse a huge rank up front instead of running out of memory building it
+MAX_WEYL_ROOTS = 128  # positive roots a Weyl element reaches: 2N root indices, each one byte
 
 
 def ascii_int(text: str) -> int | None:
@@ -114,8 +119,7 @@ class RootSystem:
         self.n_pos = len(self.positive_roots)
         self.roots = self.positive_roots + tuple(tuple(-c for c in b) for b in self.positive_roots)
         self._index = {b: k for k, b in enumerate(self.roots)}
-        self.identity = tuple(self._index[a] for a in self.simple_roots)
-        self._sum_index: dict[tuple[int, int], int] = {}
+        self.identity = bytes(self._index[a] for a in self.simple_roots)
         self._word_cache: dict[Weyl, tuple[int, ...]] = {}
 
     # -- construction --------------------------------------------------
@@ -205,45 +209,58 @@ class RootSystem:
 
     # -- Weyl group elements ----------------------------------------------
 
+    def _require_byte_indices(self) -> None:
+        if self.n_pos > MAX_WEYL_ROOTS:
+            raise ValueError(
+                f"{self.dtype.label} has {self.n_pos} positive roots; Weyl group elements are "
+                f"bytes of root indices, which reach at most {MAX_WEYL_ROOTS}")
+
     @cached_property
     def _left_tables(self) -> dict:
-        """Per node j: the index permutation of the 2N roots under r_j, and per
-        position i the table k -> 2rho_i (alpha_j, root k)."""
+        """Per node j: the index permutation of the 2N roots under r_j, as a
+        256-byte ``translate`` table, and per position i the table k -> 2rho_i
+        (alpha_j, root k)."""
+        self._require_byte_indices()
         tables = {}
         for j in self.nodes:
             row = [self.pairing_simple(j, b) for b in self.roots]
-            tables[j] = (tuple(self._index[self.reflect(j, b)] for b in self.roots),
-                         [[c * p for p in row] for c in self.two_rho])
+            perm = bytes(self._index[self.reflect(j, b)] for b in self.roots)
+            tables[j] = (perm.ljust(256, b"\0"), [[c * p for p in row] for c in self.two_rho])
         return tables
+
+    @cached_property
+    def _sum_index(self) -> dict[tuple[int, int], int]:
+        """The index of the sum of two roots, filled by right steps."""
+        self._require_byte_indices()
+        return {}
 
     def simple_reflection(self, i: int) -> Weyl:
         return self.left_mul_simple(i, self.identity)
 
     def right_mul_simple(self, w: Weyl, j: int) -> Weyl:
         """w r_j: negate image j; neighbor i's becomes the root w(alpha_i) + w(alpha_j)."""
+        sums = self._sum_index
         imgs = list(w)
         a = w[j - 1]
         n_pos = self.n_pos
         imgs[j - 1] = a - n_pos if a >= n_pos else a + n_pos
-        sums = self._sum_index
         for i in self.neighbors[j]:
             key = (w[i - 1], a)
             s = sums.get(key)
             if s is None:
                 s = sums[key] = self._index[tuple(map(add, self.roots[key[0]], self.roots[a]))]
             imgs[i - 1] = s
-        return tuple(imgs)
+        return bytes(imgs)
 
     def left_mul_simple(self, j: int, w: Weyl) -> Weyl:
         """r_j w; permutes every stored image."""
-        perm = self._left_tables[j][0]
-        return tuple([perm[k] for k in w])
+        return w.translate(self._left_tables[j][0])
 
     def left_move(self, j: int):
         """The map w -> (r_j w, whether l(r_j w) < l(w)), bound to j's tables;
         the descent test is the sign of (alpha_j, w(2 rho)) = 2 ht(w^-1 alpha_j)."""
         perm, rows = self._left_tables[j]
-        return lambda w: (tuple([perm[k] for k in w]), sum(map(getitem, rows, w)) < 0)
+        return lambda w: (w.translate(perm), sum(map(getitem, rows, w)) < 0)
 
     def reduced_word(self, w: Weyl) -> tuple[int, ...]:
         """Canonical reduced word via right descents, smallest node first."""

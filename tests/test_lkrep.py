@@ -164,19 +164,20 @@ def test_gamma_specialize_commutes_on_d4():
                 assert vs == vn
 
 
-def _specialize(lk, mat, l0, r0):
-    """Reference route: evaluate each generic entry under z -> 1/r0 at (l0, r0).
+def _at_character(helem, l0, r0):
+    """A Hecke element under z -> 1/r0 at (l0, r0).
 
     A Hecke basis element T_w goes to (1/r0)^len(w); its Scalar coefficient
     is evaluated at l = l0, m = r0 - 1/r0.
     """
     m0, c0 = r0 - 1 / r0, 1 / r0
+    return sum((coeff.eval_at(l0, m0) * c0 ** len(helem.rs.reduced_word(w))
+                for w, coeff in helem.coeffs().items()), Fraction(0))
 
-    def value(helem):
-        return sum((coeff.eval_at(l0, m0) * c0 ** len(lk.rs.reduced_word(w))
-                    for w, coeff in helem.coeffs().items()), Fraction(0))
 
-    return mat.map_entries(value)
+def _specialize(lk, mat, l0, r0):
+    """Reference route: evaluate each generic entry under z -> 1/r0 at (l0, r0)."""
+    return mat.map_entries(lambda helem: _at_character(helem, l0, r0))
 
 
 # A4 and D5 have a non-commutative H_C
@@ -226,6 +227,25 @@ def test_character_closed_form_counts_the_word_letters(label):
         # so inv - pos = ht beta - 2, whatever i is
         assert (pos, inv) == (ht_theta + ht, 2 * ht + ht_theta - 2), (i, beta)
         assert spec.t_closed_form(i, beta) == spec.m * spec.c0 ** pos * spec.r ** inv
+
+
+def test_e8_t_table_to_height_10_projects_and_meets_the_character():
+    # build_lk refuses E8, so the generic T are built on its root system directly;
+    # with 240 root indices, E8 is the type closest to the bytes reach of rootsys
+    rs = build_type("E8")
+    lk = LawrenceKrammer(rs)
+    l0, r0 = Fraction(5, 7), Fraction(3, 2)
+    spec = CharacterSpecialization(rs, l0, r0)
+    pairs = nonzero = 0
+    for beta in rs.positive_roots:
+        if rs.height(beta) > 10:
+            continue
+        for i in rs.nodes:
+            t = lk.t_coeff(i, beta)
+            assert t.project_subalgebra(lk.c_set) is t
+            assert _at_character(t, l0, r0) == spec.t_char(i, beta), (i, beta)
+            pairs, nonzero = pairs + 1, nonzero + bool(t)
+    assert (pairs, nonzero) == (544, 312)
 
 
 def test_generic_closed_form_is_m_at_height_two():

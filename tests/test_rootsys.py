@@ -3,8 +3,10 @@ from itertools import combinations
 
 import pytest
 
+from bmwade.cli import main
 from bmwade.rootsys import (
     MAX_RANK,
+    MAX_WEYL_ROOTS,
     DynkinType,
     RootSystem,
     build_type,
@@ -33,7 +35,7 @@ def act(rs, w, beta):
 
 def compose(rs, u, v):
     """u after v (v acts first)."""
-    return tuple(rs.roots.index(act(rs, u, rs.roots[k])) for k in v)
+    return bytes(rs.roots.index(act(rs, u, rs.roots[k])) for k in v)
 
 
 def word_element(rs, word):
@@ -79,6 +81,25 @@ def test_invalid_types():
         with pytest.raises(ValueError):
             DynkinType.parse(label) and build_type(label)
     assert DynkinType.parse("A100").rank == MAX_RANK
+
+
+def test_weyl_elements_stop_at_the_byte_reach(capsys):
+    # A16 has 136 positive roots: its roots are there, its Weyl group elements are not
+    rs = RootSystem(DynkinType.parse("A16"))
+    assert len(rs.positive_roots) == 136 > MAX_WEYL_ROOTS
+    assert main(["roots", "--type", "A16"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 136 + 2 and out[-2] == "highest: " + " ".join("1" * 16)
+    limit = rf"A16 has 136 positive roots; .* at most {MAX_WEYL_ROOTS}"
+    with pytest.raises(ValueError, match=limit):
+        rs.simple_reflection(1)
+    with pytest.raises(ValueError, match=limit):
+        rs.right_mul_simple(rs.identity, 1)
+    assert rs.reduced_word(rs.identity) == ()
+    e8 = build_type("E8")  # within reach, with 240 root indices
+    assert len(e8.roots) == 240
+    w = e8.simple_reflection(8)
+    assert w == e8.right_mul_simple(e8.identity, 8) and e8.reduced_word(w) == (8,)
 
 
 def brute_force_roots(rs):
