@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from math import prod
 from operator import add, getitem
 
 Root = tuple  # tuple[int, ...] over the simple roots
@@ -386,9 +387,5 @@ def parabolic_order(rs: RootSystem, nodes) -> int:
     ``nodes``: |W_J| = prod (ht beta + 1) / ht beta, exact in integers.
     """
     nodes = set(nodes)
-    num = den = 1
-    for beta in rs.positive_roots:
-        if nodes.issuperset(rs.support(beta)):
-            num *= sum(beta) + 1
-            den *= sum(beta)
-    return num // den
+    heights = [sum(beta) for beta in rs.positive_roots if nodes.issuperset(rs.support(beta))]
+    return prod(h + 1 for h in heights) // prod(heights)

@@ -27,6 +27,8 @@ not a unit there); nothing here depends on the variable's name.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import prod
 from typing import Iterator
 
 
@@ -161,17 +163,10 @@ class Scalar:
         return self * _make({(-e, -k): _exact(1 / Fraction(c))})
 
     def __pow__(self, k: int) -> Scalar:
-        """self ** k for an int k >= 0, by repeated squaring."""
+        """self ** k for an int k >= 0, as k products from the unit."""
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"Scalar power needs an int exponent >= 0, got {k!r}")
-        out, base = _ONE, self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return prod(repeat(self, k), start=_ONE)
 
     def scale(self, q) -> Scalar:
         return self * Scalar.from_fraction(q)

@@ -8,8 +8,9 @@ character z -> 1/r0 (specialized mode, all types including E8).  Each
 relation is stated once, whatever the ring: sigma and tau share one braid
 loop, and the adjacent-node rows of the T table share one instance walker.
 A failing check always carries a concrete witness: the indices involved and
-the first nonzero residual cell.  A check with no instance on a type passes
-vacuously (``zaction_i`` on A1 and A2, rows 4-7 and the adjacent choice on A2,
+the first nonzero residual cell, or ``no cell differs`` when only the matrix
+type or size does.  A check with no instance on a type passes vacuously
+(``zaction_i`` on A1 and A2, rows 4-7 and the adjacent choice on A2,
 ``t_both_orthogonal`` and ``t_choice_commuting_step`` on A2, A3 and D4).
 
 The dimension report reproduces the closed-form counts: |Phi+|^2 |W_C| for
@@ -24,7 +25,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .lkrep import (
     CharacterSpecialization,
@@ -107,9 +108,9 @@ def _mat_witness(a: SparseMatrix, b: SparseMatrix, rs) -> str | None:
 
 
 def _check_eq(out: list, name: str, a: SparseMatrix, b: SparseMatrix, rs):
-    # == is True only when every cell agrees; on False the walk decides (non-canonical forms too)
-    w = None if a == b else _mat_witness(a, b, rs)
-    out.append(CheckResult(name, w is None, w))
+    # == is the verdict; the walk only names the first differing cell, if any
+    ok = a == b
+    out.append(CheckResult(name, ok, None if ok else _mat_witness(a, b, rs) or "no cell differs"))
 
 
 # -- individual suites ------------------------------------------------------
@@ -123,18 +124,12 @@ def _braid_checks(rs, M, prefix: str) -> list[CheckResult]:
     """Artin relations of the matrices M(i): braid when adjacent, else commute."""
     out = []
     for i in rs.nodes:
-        for j in rs.nodes:
-            if j <= i:
-                continue
+        for j in rs.nodes[i:]:  # nodes are 1..n: every j > i
             if j in rs.neighbors[i]:
                 _check_eq(out, f"{prefix}braid_{i}_{j}", M(i) * M(j) * M(i), M(j) * M(i) * M(j), rs)
             else:
                 _check_eq(out, f"{prefix}commute_{i}_{j}", M(i) * M(j), M(j) * M(i), rs)
     return out
-
-
-def _suite_braid(rep: LKRepresentation) -> list[CheckResult]:
-    return _braid_checks(rep.rs, rep.sigma, "")
 
 
 def _suite_essential(rep: LKRepresentation) -> list[CheckResult]:
@@ -150,39 +145,36 @@ def _suite_essential(rep: LKRepresentation) -> list[CheckResult]:
         _check_eq(out, f"esq_{i}", Ei * Ei, Ei.scale(rep.x), rs)
         _check_eq(out, f"cubic_{i}", rep.e_and_f(i)[1] * C((Si, 1), (ident, -rep.linv)), zero, rs)
         _check_eq(out, f"inverse_{i}", Si * G(i), ident, rs)
-    later = {}  # the checks of each adjacent order (j, i), j > i, until their place in out
 
-    def adjacent_order(sink, i, j, P):
+    def adjacent_order(i, j, P):
         """The checks of the adjacent order (i, j), given the products P it shares with (j, i)."""
         Ei, Si, Gi, Ej, Sj = E(i), S(i), G(i), E(j), S(j)
         (EiSj, SjEi, EiEj, EiGj), (EjSi, SiEj, EjEi, EjGi) = P[i, j], P[j, i]
         GiEj, SjSiEj, SjEiSj = Gi * Ej, Sj * SiEj, SjEi * Sj
         EjEiSj, SjEiEj = Ej * EiSj, SjEi * Ej
-        _check_eq(sink, f"r2_{i}_{j}", EiSj * Ei, Ei.scale(rep.l), rs)
-        _check_eq(sink, f"wenzl_cross_{i}_{j}", EiGj * Ei, e_linv[i], rs)
-        _check_eq(sink, f"iji_gge_a_{i}_{j}", SjSiEj, EiSj * Si, rs)
-        _check_eq(sink, f"iji_gge_b_{i}_{j}", SjSiEj, EiEj, rs)
-        _check_eq(sink, f"iji_geg_a_{i}_{j}", SjEiSj, GiEj * Gi, rs)
+        _check_eq(out, f"r2_{i}_{j}", EiSj * Ei, Ei.scale(rep.l), rs)
+        _check_eq(out, f"wenzl_cross_{i}_{j}", EiGj * Ei, e_linv[i], rs)
+        _check_eq(out, f"iji_gge_a_{i}_{j}", SjSiEj, EiSj * Si, rs)
+        _check_eq(out, f"iji_gge_b_{i}_{j}", SjSiEj, EiEj, rs)
+        _check_eq(out, f"iji_geg_a_{i}_{j}", SjEiSj, GiEj * Gi, rs)
         expanded = C((SiEj * Si, 1), (EjSi, m), (EiSj, -m), (SiEj, m), (SjEi, -m),
                      (Ej, m * m), (Ei, -m * m))
-        _check_eq(sink, f"iji_geg_b_{i}_{j}", SjEiSj, expanded, rs)
-        _check_eq(sink, f"iji_eeg_a_{i}_{j}", EjEiSj, EjGi, rs)
-        _check_eq(sink, f"iji_eeg_b_{i}_{j}", EjEiSj, C((EjSi, 1), (Ej, m), (EjEi, -m)), rs)
-        _check_eq(sink, f"iji_gee_a_{i}_{j}", SjEiEj, GiEj, rs)
-        _check_eq(sink, f"iji_gee_b_{i}_{j}", SjEiEj, C((SiEj, 1), (Ej, m), (EiEj, -m)), rs)
-        _check_eq(sink, f"iji_eje_{i}_{j}", EiEj * Ei, Ei, rs)
+        _check_eq(out, f"iji_geg_b_{i}_{j}", SjEiSj, expanded, rs)
+        _check_eq(out, f"iji_eeg_a_{i}_{j}", EjEiSj, EjGi, rs)
+        _check_eq(out, f"iji_eeg_b_{i}_{j}", EjEiSj, C((EjSi, 1), (Ej, m), (EjEi, -m)), rs)
+        _check_eq(out, f"iji_gee_a_{i}_{j}", SjEiEj, GiEj, rs)
+        _check_eq(out, f"iji_gee_b_{i}_{j}", SjEiEj, C((SiEj, 1), (Ej, m), (EiEj, -m)), rs)
+        _check_eq(out, f"iji_eje_{i}_{j}", EiEj * Ei, Ei, rs)
 
     for i in rs.nodes:
-        for j in rs.nodes:
-            if j in rs.neighbors[i] and j > i:  # both orders, on the eight shared products
+        for j in rs.nodes[i:]:  # nodes are 1..n: every j > i
+            if j in rs.neighbors[i]:  # both orders, on the eight shared products
                 P = {(a, b): (E(a) * S(b), S(b) * E(a), E(a) * E(b), E(a) * G(b))
                      for a, b in ((i, j), (j, i))}
-                adjacent_order(out, i, j, P)
-                adjacent_order(later.setdefault((j, i), []), j, i, P)
+                adjacent_order(i, j, P)
+                adjacent_order(j, i, P)
                 del P  # before the next pair's are built
-            elif j in rs.neighbors[i]:
-                out += later.pop((i, j))
-            elif j > i:
+            else:
                 EiSj, SjEi, EiEj = E(i) * S(j), S(j) * E(i), E(i) * E(j)
                 _check_eq(out, f"ee_zero_{i}_{j}", EiEj, zero, rs)
                 _check_eq(out, f"commute_eg_{i}_{j}", EiSj, SjEi, rs)
@@ -318,12 +310,12 @@ def _suite_zaction(rep: LKRepresentation) -> list[CheckResult]:
     rs, out = rep.rs, []
     for i in rs.nodes:
         a = rs.root_index[rs.alpha(i)]
+        e_col = rep.e_matrix(i) * rep.matrix(rep.size, {a: {a: rep.unit()}})
         bad = None
         for k in rs.nodes:
             far = [j for j in rs.nodes if j != k and j not in rs.neighbors[k]]
             if not far:
                 continue
-            e_col = rep.e_matrix(i) * rep.matrix(rep.size, {a: {a: rep.unit()}})
             pushed = rep.word_apply(rs.geodesic_word(i, k), e_col)
             for j in far:
                 col = rep.word_apply(rs.geodesic_word(k, i), rep.sigma(j) * pushed)
@@ -334,17 +326,13 @@ def _suite_zaction(rep: LKRepresentation) -> list[CheckResult]:
     return out
 
 
-def _suite_tau(rep: LKRepresentation) -> list[CheckResult]:
-    return _braid_checks(rep.rs, rep.tau, "tau_")
-
-
 _SUITE_FNS = {
-    "braid": _suite_braid,
+    "braid": lambda rep: _braid_checks(rep.rs, rep.sigma, ""),
     "essential": _suite_essential,
     "eiproj": _suite_eiproj,
     "table1": lambda rep: _suite_table1(rep) + _suite_choice(rep),
     "zaction": _suite_zaction,
-    "tau_monoid": _suite_tau,
+    "tau_monoid": lambda rep: _braid_checks(rep.rs, rep.tau, "tau_"),
 }
 SUITE_NAMES = tuple(_SUITE_FNS)
 
@@ -393,14 +381,6 @@ def _a_layers(n: int) -> list[dict]:
     return layers
 
 
-def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 def dims_report(type_label: str) -> dict:
     rs = build_type(type_label)
     fam, n = rs.dtype.family, rs.dtype.rank
@@ -430,7 +410,7 @@ def dims_report(type_label: str) -> dict:
         ]
         report["total_dim"] = 1569
     elif fam == "D":
-        report["total_dim"] = (2 ** n + 1) * _double_factorial(2 * n - 1) \
+        report["total_dim"] = (2 ** n + 1) * prod(range(2 * n - 1, 1, -2)) \
             - (2 ** (n - 1) + 1) * factorial(n)
         report["total_conjectural"] = True
     return report

@@ -19,6 +19,7 @@ from bmwade.verify import (
     _SUITE_FNS,
     CheckResult,
     UnsupportedModeError,
+    _check_eq,
     _mat_witness,
     _suite_table1,
     _suite_zaction,
@@ -31,11 +32,16 @@ from bmwade.verify import (
 from test_lkrep import _product_column
 
 
-def test_all_suites_a2_generic():
-    report = run_suite("all", "A2")
+@pytest.mark.parametrize("label, point", [
+    ("A2", None), ("A3", None), ("D4", None), ("E6", (Fraction(5, 7), Fraction(3, 2))),
+], ids=["A2", "A3", "D4", "E6-at-a-point"])
+def test_all_suites_pass_with_sorted_unique_names(label, point):
+    # the report's order is its names' order: emission order is invisible
+    # only while no two checks share a name
+    report = run_suite("all", label, point)
     assert report.passed
     names = [c.name for c in report.checks]
-    assert names == sorted(names)
+    assert names == sorted(set(names))
 
 
 def test_essential_d4_contains_nonadjacent_annihilation():
@@ -223,6 +229,15 @@ def test_sparse_matrix_witness_none_for_equal_zero():
     assert _mat_witness(SparseMatrix(3), SparseMatrix(3), build_lk("A2").rs) is None
 
 
+def test_check_eq_fails_unequal_matrices_whose_cells_all_agree():
+    # == is the verdict: a different matrix type or size is no cell's difference
+    rs, cols, out = build_type("A2"), {0: {1: Fraction(1, 2)}}, []
+    _check_eq(out, "type", SparseMatrix(3, cols), RationalMatrix(3, cols), rs)
+    _check_eq(out, "size", SparseMatrix(3, cols), SparseMatrix(4, cols), rs)
+    assert out == [CheckResult("type", False, "no cell differs"),
+                   CheckResult("size", False, "no cell differs")]
+
+
 def _corrupt_e6_sigma_1(rep):
     """+1 on sigma_1's diagonal cell at the first root orthogonal to alpha_1; e and f rebuilt."""
     rs = rep.rs
@@ -326,7 +341,6 @@ ESSENTIAL_WITH_BAD_E1 = [
     ("iji_gee_a_1_2", "cell x_(1, 1, 0) <- x_(0, 0, 1): (2)*1 != (1)*1"),
     ("iji_gee_b_1_2", "cell x_(1, 1, 0) <- x_(0, 0, 1): (2)*1 != (1)*1"),
     ("iji_eje_1_2", "cell x_(1, 0, 0) <- x_(0, 1, 0): (4)*1 != (2)*1"),
-    ("commute_eg_1_3", "cell x_(1, 0, 0) <- x_(0, 1, 0): (-m)*1 + (1)*z2 != (2)*z2"),
     ("wenzl_cross_2_1", "cell x_(0, 1, 0) <- x_(0, 0, 1): (l^-1 + -m)*1 != (l^-1)*1"),
     ("iji_gge_a_2_1", "cell x_(0, 1, 0) <- x_(0, 1, 0): (2)*1 != (1)*1"),
     ("iji_geg_a_2_1", "cell x_(0, 1, 0) <- x_(0, 0, 1): (-m)*z2 != (m^2)*1 + (-m)*z2"),
@@ -334,6 +348,7 @@ ESSENTIAL_WITH_BAD_E1 = [
     ("iji_eeg_a_2_1", "cell x_(1, 0, 0) <- x_(0, 0, 1): (2)*z2 != (-m)*1 + (1)*z2"),
     ("iji_eeg_b_2_1", "cell x_(1, 0, 0) <- x_(0, 0, 1): (2)*z2 != (-m)*1 + (1)*z2"),
     ("iji_eje_2_1", "cell x_(0, 1, 0) <- x_(0, 0, 1): (2)*1 != (1)*1"),
+    ("commute_eg_1_3", "cell x_(1, 0, 0) <- x_(0, 1, 0): (-m)*1 + (1)*z2 != (2)*z2"),
 ]
 
 
@@ -362,7 +377,6 @@ ESSENTIAL_WITH_BAD_E1_AT_POINT = [
     ("iji_gee_a_1_2", "cell x_(1, 1, 0) <- x_(0, 0, 1): Fraction(2, 1) != Fraction(1, 1)"),
     ("iji_gee_b_1_2", "cell x_(1, 1, 0) <- x_(0, 0, 1): Fraction(2, 1) != Fraction(1, 1)"),
     ("iji_eje_1_2", "cell x_(1, 0, 0) <- x_(0, 1, 0): Fraction(4, 1) != Fraction(2, 1)"),
-    ("commute_eg_1_3", "cell x_(1, 0, 0) <- x_(0, 1, 0): Fraction(-1, 6) != Fraction(4, 3)"),
     ("wenzl_cross_2_1", "cell x_(0, 1, 0) <- x_(0, 0, 1): Fraction(17, 30) != Fraction(7, 5)"),
     ("iji_gge_a_2_1", "cell x_(0, 1, 0) <- x_(0, 1, 0): Fraction(2, 1) != Fraction(1, 1)"),
     ("iji_geg_a_2_1", "cell x_(0, 1, 0) <- x_(0, 0, 1): Fraction(-5, 9) != Fraction(5, 36)"),
@@ -371,6 +385,7 @@ ESSENTIAL_WITH_BAD_E1_AT_POINT = [
     ("iji_eeg_a_2_1", "cell x_(1, 0, 0) <- x_(0, 0, 1): Fraction(4, 3) != Fraction(-1, 6)"),
     ("iji_eeg_b_2_1", "cell x_(1, 0, 0) <- x_(0, 0, 1): Fraction(4, 3) != Fraction(-1, 6)"),
     ("iji_eje_2_1", "cell x_(0, 1, 0) <- x_(0, 0, 1): Fraction(2, 1) != Fraction(1, 1)"),
+    ("commute_eg_1_3", "cell x_(1, 0, 0) <- x_(0, 1, 0): Fraction(-1, 6) != Fraction(4, 3)"),
 ]
 
 
@@ -446,8 +461,8 @@ def test_tau_braid_catches_a_corrupted_tau_cell_on_a3():
 FAMILY_CONTROLS = [
     ("e", 1, 3, {"essential": [
         "r1_eg_1", "inverse_1", "iji_gge_a_1_2", "iji_geg_a_1_2", "iji_geg_b_1_2",
-        "iji_eeg_a_1_2", "iji_eeg_b_1_2", "ee_zero_1_3", "commute_eg_1_3", "commute_ee_1_3",
-        "iji_gge_a_2_1", "iji_geg_a_2_1", "iji_geg_b_2_1", "iji_eeg_a_2_1", "iji_eeg_b_2_1"]}),
+        "iji_eeg_a_1_2", "iji_eeg_b_1_2", "iji_gge_a_2_1", "iji_geg_a_2_1", "iji_geg_b_2_1",
+        "iji_eeg_a_2_1", "iji_eeg_b_2_1", "ee_zero_1_3", "commute_eg_1_3", "commute_ee_1_3"]}),
     ("e", 1, 1, {"essential": [
         "r1_eg_1", "esq_1", "inverse_1", "r2_1_2", "iji_gge_a_1_2", "iji_geg_a_1_2",
         "iji_geg_b_1_2", "iji_eeg_a_1_2", "iji_eeg_b_1_2", "iji_gge_a_2_1", "iji_geg_a_2_1",
@@ -459,9 +474,9 @@ FAMILY_CONTROLS = [
         "essential": [
             "r1_ge_1", "r1_eg_1", "esq_1", "cubic_1", "inverse_1", "r2_1_2", "wenzl_cross_1_2",
             "iji_gge_a_1_2", "iji_geg_a_1_2", "iji_geg_b_1_2", "iji_eeg_a_1_2", "iji_eeg_b_1_2",
-            "iji_eje_1_2", "ee_zero_1_3", "commute_eg_1_3", "commute_ee_1_3", "iji_gge_a_2_1",
-            "iji_gge_b_2_1", "iji_geg_a_2_1", "iji_geg_b_2_1", "iji_eeg_a_2_1", "iji_eeg_b_2_1",
-            "iji_gee_a_2_1", "iji_gee_b_2_1"],
+            "iji_eje_1_2", "iji_gge_a_2_1", "iji_gge_b_2_1", "iji_geg_a_2_1", "iji_geg_b_2_1",
+            "iji_eeg_a_2_1", "iji_eeg_b_2_1", "iji_gee_a_2_1", "iji_gee_b_2_1", "ee_zero_1_3",
+            "commute_eg_1_3", "commute_ee_1_3"],
         "eiproj": ["eiproj_1"],
         "zaction": ["zaction_1", "zaction_2", "zaction_3"]}),
 ]
@@ -565,24 +580,25 @@ def test_t_hnode_oracle_catches_a_wrong_h_node_on_d4(monkeypatch):
     ]
 
 
-# the catalogue walk on generic A3: every check name of --suite all fails under
-# at least one corruption of a fixed catalogue, each +1 on one cell x_{alpha_i}
-# <- x_{alpha_j} of sigma_i, e_i, f_i or tau_i (before anything is built from
-# it), or on one T memo entry after a first table1 run.  The names that no
-# corruption fails, each with its reason:
-UNCATALOGUED_A3 = {
-    "t_both_orthogonal": "no instance on A3; T_MEMO_CONTROLS fails it on A4",
-    "t_choice_commuting_step": "no instance on A3; T_MEMO_CONTROLS fails it on A4",
+# the catalogue walk on generic A3 and D4: every check name of --suite all
+# fails under at least one corruption of a fixed catalogue, each +1 on one cell
+# x_{alpha_i} <- x_{alpha_j} of sigma_i, e_i, f_i or tau_i (before anything is
+# built from it), or on one T memo entry after a first table1 run.  The names
+# that no corruption fails on either type, each with its reason:
+UNCATALOGUED = {
+    "t_both_orthogonal": "no instance on A3 or D4; T_MEMO_CONTROLS fails it on A4",
+    "t_choice_commuting_step": "no instance on A3 or D4; T_MEMO_CONTROLS fails it on A4",
     "t_hnode_oracle": "reads the cached build_lk, which no corruption of the representation "
                       "under test reaches; its control moves an h node on D4",
     "t_lfree": "+1 puts no l into a T entry; its control multiplies one by l on A4",
 }
 
 
-def test_catalogue_walk_fails_every_check_name_on_a3():
+@pytest.mark.parametrize("label", ["A3", "D4"])
+def test_catalogue_walk_fails_every_check_name(label):
     start = time.perf_counter()
-    rs = build_type("A3")
-    names = {c.name for c in run_suite("all", "A3").checks}
+    rs = build_type(label)
+    names = {c.name for c in run_suite("all", label).checks}
     matrices = (LawrenceKrammer.sigma, LawrenceKrammer.e_matrix,
                 lambda rep, i: rep.e_and_f(i)[1], LawrenceKrammer.tau)
 
@@ -603,7 +619,7 @@ def test_catalogue_walk_fails_every_check_name_on_a3():
         _SUITE_FNS["table1"](rep)
         _t_memo(rep)[key] += rep.unit()
         failed |= failing(rep)
-    assert names - failed == set(UNCATALOGUED_A3)
+    assert names - failed == set(UNCATALOGUED)
     assert time.perf_counter() - start <= 10.0
 
 
