@@ -9,8 +9,9 @@ whole algebra, so ``project_subalgebra`` alone checks membership.
 
 Storage is flat: ``terms`` maps each key (w, e, k) to the rational c of the
 term c l^e m^k T_w, an ``int``, or a ``Fraction`` when c is not an integer.
-No value is zero, so the form is unique and ``==`` compares dicts.  The
-kernel builds no Scalar; ``coeffs`` regroups the keys by w into Scalars.
+No value is zero (sums go through ``scalar._acc``), so the form is unique and
+``==`` compares dicts.  The kernel builds no Scalar; ``coeffs`` regroups the
+keys by w into Scalars.
 
 The basis is normalized so that T_s = z_s satisfies z^2 = 1 - m z, hence
 z^-1 = z + m.  On the right, T_w z_s = T_{ws} when l(ws) > l(w) and
@@ -35,18 +36,7 @@ Elements are immutable, so operations may share a terms dict between them.
 from __future__ import annotations
 
 from .rootsys import RootSystem, Weyl
-from .scalar import Scalar, _exact, _make
-
-
-def _acc(terms: dict, key, c) -> None:
-    """Add the nonzero rational c into terms[key], dropping the key when the sum is zero."""
-    s = terms.get(key)
-    if s is None:
-        terms[key] = c
-    elif s := s + c:
-        terms[key] = s if type(s) is int else _exact(s)
-    else:
-        del terms[key]
+from .scalar import Scalar, _acc, _exact, _make
 
 
 def _times(terms: dict, coeff: dict, out: dict | None = None) -> dict:
@@ -60,8 +50,7 @@ def _times(terms: dict, coeff: dict, out: dict | None = None) -> dict:
         out = {}
     for (e, k), d in coeff.items():
         for (w, x, y), c in terms.items():
-            p = c * d
-            _acc(out, (w, x + e, y + k), p if type(p) is int else _exact(p))
+            _acc(out, (w, x + e, y + k), c * d)
     return out
 
 

@@ -363,23 +363,6 @@ def build_type(label: str) -> RootSystem:
     return RootSystem(DynkinType.parse(label))
 
 
-def enumerate_parabolic(rs: RootSystem, nodes) -> list[Weyl]:
-    """All elements of the standard parabolic on ``nodes``, by (length, w).
-
-    Walks breadth-first from the identity: w r_i has length l(w) +- 1, so
-    the products of one layer minus the layer before form the next length.
-    Within a length layer the order is by index tuple, which nothing
-    prints.  Intended for types whose parabolic is small enough to hold in
-    memory; nothing in the algebra layer calls this.
-    """
-    gens = sorted(nodes)
-    out, prev, layer = [], set(), {rs.identity}
-    while layer:
-        out += sorted(layer)
-        prev, layer = layer, {rs.right_mul_simple(w, i) for w in layer for i in gens} - prev
-    return out
-
-
 def parabolic_order(rs: RootSystem, nodes) -> int:
     """Order of the parabolic subgroup generated by the given nodes.
 

@@ -10,8 +10,9 @@ Storage is flat: ``_terms`` maps each monomial l^e m^k, keyed ``(e, k)``,
 to its coefficient c, an ``int``, or a ``Fraction`` when c is not an
 integer.  No value is zero, so the form is unique: two Scalars are equal as
 ring elements iff their dicts are equal, and ``==`` is both cheap and exact.
-A one-term operand of a product shifts keys; the general product is one
-double loop.  The units are the single terms c l^e m^k: dividing by one
+Every sparse sum of the package, of rationals, Scalars or Hecke elements,
+goes through ``_acc``, which keeps that form.  A one-term operand of a
+product shifts keys; the general product is one double loop of ``_acc``.  The units are the single terms c l^e m^k: dividing by one
 shifts the keys and divides by c, and dividing by anything else raises
 :class:`ScalarDomainError`.  Values are immutable and all operations are
 pure, which makes them safe to share between threads.
@@ -37,8 +38,17 @@ class ScalarDomainError(ArithmeticError):
 
 
 def _exact(c):
-    """The nonzero rational c as an int when it is one, else as a Fraction."""
-    return c if type(c) is int or c.denominator != 1 else c.numerator
+    """c, with an integral Fraction stored as its int numerator; any other value unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _acc(terms: dict, key, c) -> None:
+    """Add the nonzero c (a rational, Scalar or HeckeElement) into terms[key],
+    dropping the key when the sum is zero."""
+    if (s := terms.get(key)) is not None and not (c := s + c):
+        del terms[key]
+    else:
+        terms[key] = _exact(c)
 
 
 def _make(terms: dict) -> Scalar:
@@ -121,11 +131,7 @@ class Scalar:
             return other
         terms = dict(self._terms)
         for key, c in other._terms.items():
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = _exact(s)
-            else:
-                del terms[key]
+            _acc(terms, key, c)
         return _make(terms)
 
     def __neg__(self) -> Scalar:
@@ -149,9 +155,8 @@ class Scalar:
         terms: dict[tuple[int, int], int | Fraction] = {}
         for (x, y), v in a.items():
             for (e, k), c in b.items():
-                key = (x + e, y + k)
-                terms[key] = terms.get(key, 0) + v * c
-        return _make({key: _exact(c) for key, c in terms.items() if c})
+                _acc(terms, (x + e, y + k), v * c)
+        return _make(terms)
 
     def __truediv__(self, other: Scalar) -> Scalar:
         """Division by a unit c*l^e*m^k; any other divisor raises."""

@@ -15,9 +15,10 @@ type or size does.  A check with no instance on a type passes vacuously
 
 The dimension report reproduces the closed-form counts: |Phi+|^2 |W_C| for
 the middle layer, the odd double factorial totals for type A with their
-per-layer breakdown, the D4 total 1569 with its four layers, and the
-conjectured D_n totals, labeled as conjectural since this artifact neither
-confirms nor denies them.
+per-layer breakdown, and one D_n formula, which gives D4's 1569 (with its
+four layers) and is labeled conjectural from D5 on, as this artifact neither
+confirms nor denies it.  The rank-2 reproduction ranks word images as sparse
+rows {coordinate: rational}: no Weyl group is listed to index them.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .lkrep import (
     UnsupportedModeError,
     build_lk,
 )
-from .rootsys import DynkinType, build_type, enumerate_parabolic, parabolic_order
-from .scalar import Scalar
+from .rootsys import DynkinType, build_type, parabolic_order
+from .scalar import _acc
 from .wordalg import reduce_word, rep_image_word
 
 DEFAULT_L0 = Fraction(5, 7)
@@ -401,54 +402,51 @@ def dims_report(type_label: str) -> dict:
         layers = _a_layers(n)
         report["layers"] = layers
         report["total_dim"] = sum(v["dim"] for v in layers)
-    elif fam == "D" and n == 4:
-        report["layers"] = [
-            {"cocliques": 0, "orbit": 1, "dim": 192},
-            {"cocliques": 1, "orbit": 12, "dim": 1152},
-            {"cocliques": 2, "orbit": 18, "dim": 216},
-            {"cocliques": 3, "orbit": 3, "dim": 9},
-        ]
-        report["total_dim"] = 1569
-    elif fam == "D":
+    elif fam == "D":  # the formula gives D4's 1569, computed layer by layer
         report["total_dim"] = (2 ** n + 1) * prod(range(2 * n - 1, 1, -2)) \
             - (2 ** (n - 1) + 1) * factorial(n)
-        report["total_conjectural"] = True
+        report["total_conjectural"] = n > 4
+        if n == 4:
+            report["layers"] = [
+                {"cocliques": 0, "orbit": 1, "dim": 192},
+                {"cocliques": 1, "orbit": 12, "dim": 1152},
+                {"cocliques": 2, "orbit": 18, "dim": 216},
+                {"cocliques": 3, "orbit": 3, "dim": 9},
+            ]
     return report
 
 
 # -- rank-2 dimension reproduction ------------------------------------------------
 
 
-def rational_rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                c = rows[r][col]
-                rows[r] = [v - c * p for v, p in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def rational_rank(rows) -> int:
+    """Rank over Q of sparse rows {coordinate: rational}.  Each row is reduced
+    by the rows kept so far, in the order kept (a kept row is zero at every
+    earlier pivot), and a nonzero rest is kept, scaled to 1 at its pivot."""
+    kept = []
+    for row in rows:
+        row = {k: v for k, v in row.items() if v}
+        for pivot, basis in kept:
+            if c := row.get(pivot):
+                for k, v in basis.items():
+                    _acc(row, k, -c * v)
+        if row:
+            pivot, c = next(iter(row.items()))
+            kept.append((pivot, {k: v / Fraction(c) for k, v in row.items()}))
+    return len(kept)
 
 
-def _a2_vector(lk: LawrenceKrammer, word, l0: Fraction, m0: Fraction) -> list[Fraction]:
-    """Coordinates of a word image: 6 Hecke coefficients and 9 matrix cells."""
-    rs, zero = lk.rs, Scalar.zero()
+def _a2_vector(lk: LawrenceKrammer, word, l0: Fraction, m0: Fraction) -> dict:
+    """Coordinates of a word image at (l0, m0): {w: value} for its Hecke
+    coefficients and {(r, c): value} for its matrix cells.  C is empty on A2,
+    so a cell is c T_1, and a cell without a T_1 term raises KeyError."""
+    identity = lk.rs.identity
     hecke, mat = rep_image_word(lk, word)
-    coeffs = hecke.coeffs()
-    cells = [mat.entry(r, c) for c in range(lk.size) for r in range(lk.size)]
-    vec = [coeffs.get(w, zero) for w in enumerate_parabolic(rs, rs.nodes)]
-    vec += [zero if v is None else v.coeffs().get(rs.identity, zero) for v in cells]
-    return [s.eval_at(l0, m0) for s in vec]
+    vec = {w: s.eval_at(l0, m0) for w, s in hecke.coeffs().items()}
+    for c, col in mat.cols.items():
+        for r, v in col.items():
+            vec[r, c] = v.coeffs()[identity].eval_at(l0, m0)
+    return vec
 
 
 def a2_dimension_check() -> SuiteReport:

@@ -34,7 +34,7 @@ from collections import deque
 from .hecke import HeckeElement, walk_prefixes
 from .lkrep import LawrenceKrammer, SparseMatrix, UnsupportedModeError
 from .rootsys import RootSystem, ascii_int
-from .scalar import Scalar
+from .scalar import Scalar, _acc
 
 Letter = tuple  # (node, kind)
 BmwWord = tuple  # tuple[Letter, ...]
@@ -103,15 +103,6 @@ def word_to_text(word: BmwWord) -> str:
     return " ".join(f"{kind}{node}" for node, kind in word)
 
 
-def _combine(acc: dict, word: BmwWord, coeff: Scalar):
-    cur = acc.get(word)
-    total = coeff if cur is None else cur + coeff
-    if total:
-        acc[word] = total
-    else:
-        acc.pop(word, None)
-
-
 def _expand_inverses(word: BmwWord) -> dict:
     """Eliminate G letters through ``_INVERSE``."""
     comb = {(): _ONE}
@@ -123,7 +114,7 @@ def _expand_inverses(word: BmwWord) -> dict:
         inverse = _INVERSE(node).items()
         for w, c in comb.items():
             for frag, k in inverse:
-                _combine(out, w + frag, c * k)
+                _acc(out, w + frag, c * k)
             if len(out) > _SEARCH_CAP:
                 raise UnsupportedModeError(
                     f"inverse expansion cap exceeded on a word of length {len(word)}")
@@ -199,7 +190,7 @@ def reduce_word(rs: RootSystem, word: BmwWord) -> dict:
     def add(w: BmwWord, c: Scalar):
         if w and w not in comb:  # (re)entering words are queued
             insort(pending, (len(w), w))
-        _combine(comb, w, c)
+        _acc(comb, w, c)
 
     while pending:
         w = pending.pop()[1]
@@ -266,15 +257,15 @@ def rep_image(lk: LawrenceKrammer, comb: dict) -> tuple[HeckeElement, SparseMatr
         if type(mat) is tuple:  # one column object per prefix up to the first e
             acc = rows.setdefault(id(mat[0]), (mat[0], {}))[1]
             for c, v in mat[1].items():
-                _combine(acc, c, v.scale(coeff))
+                _acc(acc, c, v.scale(coeff))
             continue
         for c, col in (lk.identity_matrix() if mat is None else mat).cols.items():
             tgt = cols.setdefault(c, {})
             for r, v in col.items():
-                _combine(tgt, r, v.scale(coeff))
+                _acc(tgt, r, v.scale(coeff))
     for col, row in rows.values():
         for c, v in row.items():
             tgt = cols.setdefault(c, {})
             for r, u in col.items():
-                _combine(tgt, r, u * v)
+                _acc(tgt, r, u * v)
     return hecke, SparseMatrix(lk.size, cols)

@@ -363,6 +363,9 @@ OUTPUT_DIGESTS = [
     # and each linear combination became one pass
     (("verify", "--type", "E7", "--suite", "all", "--specialize", "l=5/7,r=3/2", "--json"),
      "090af26b312ff1e01bcfbf19d26d92af230525790f962fc537cd925f128f0c76"),
+    # recorded before D4's total came from the D_n formula rather than a literal
+    (("dims", "--type", "D4", "--json"),
+     "1bd1c36959a4e393291683981420c915e1bb5379a86d74afd93f53b39cbbef7b"),
 ]
 
 

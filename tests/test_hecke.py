@@ -17,8 +17,9 @@ from bmwade.hecke import (
     in_parabolic,
 )
 from bmwade.lkrep import LawrenceKrammer, _closed_form_eval, build_lk
-from bmwade.rootsys import DynkinType, RootSystem, build_type, enumerate_parabolic, parabolic_order
+from bmwade.rootsys import DynkinType, RootSystem, build_type, parabolic_order
 from bmwade.scalar import Scalar
+from conftest import enumerate_parabolic
 
 M = Scalar.m()
 

@@ -10,9 +10,9 @@ from bmwade.rootsys import (
     DynkinType,
     RootSystem,
     build_type,
-    enumerate_parabolic,
     parabolic_order,
 )
+from conftest import enumerate_parabolic
 
 # Reference Weyl-group arithmetic on root tuples: the oracles that the
 # root-index tables of RootSystem are checked against.

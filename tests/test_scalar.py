@@ -5,7 +5,7 @@ import pytest
 
 from bmwade.hecke import HeckeElement
 from bmwade.rootsys import build_type
-from bmwade.scalar import Scalar, ScalarDomainError
+from bmwade.scalar import Scalar, ScalarDomainError, _acc
 
 L = Scalar.l(1)
 LINV = Scalar.l(-1)
@@ -170,6 +170,27 @@ def test_stored_coefficients_are_ints():
                                        (0,) * rng.randint(0, 2) + (1,))})
         for s in (a, a + b, a - b, a * b, -a, a / u, a * u):
             assert all(type(c) is int for c in s._terms.values()), s
+
+
+def test_acc_adds_keeps_canonical_ints_and_drops_zero_sums():
+    rs = build_type("A2")
+    half = Fraction(1, 2)
+    g1, g2 = HeckeElement.generator(rs, 1), HeckeElement.generator(rs, 2)
+    for a, b in ((3, -3), (half, -half), (L, -L), (g1, -g1)):
+        terms = {}
+        _acc(terms, "k", a)
+        assert terms == {"k": a}
+        _acc(terms, "k", b)
+        assert terms == {}
+    terms = {"k": half}
+    _acc(terms, "k", half)  # an integral Fraction sum is stored as an int
+    assert terms == {"k": 1} and type(terms["k"]) is int
+    _acc(terms, "j", Fraction(4, 2))  # and so is an integral Fraction added to no term
+    assert terms == {"k": 1, "j": 2} and type(terms["j"]) is int
+    terms = {"k": L, "h": g1}
+    _acc(terms, "k", M)
+    _acc(terms, "h", g2)
+    assert terms == {"k": L + M, "h": g1 + g2}
 
 
 def test_canonical_terms_agree_across_routes():

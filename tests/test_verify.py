@@ -1,3 +1,4 @@
+import random
 import time
 from collections import defaultdict
 from fractions import Fraction
@@ -13,7 +14,7 @@ from bmwade.lkrep import (
     SparseMatrix,
     build_lk,
 )
-from bmwade.rootsys import build_type
+from bmwade.rootsys import build_type, parabolic_order
 from bmwade.scalar import Scalar
 from bmwade.verify import (
     _SUITE_FNS,
@@ -29,6 +30,7 @@ from bmwade.verify import (
     run_suite,
     seeded_points,
 )
+from bmwade.wordalg import reduce_word, rep_image_word
 from test_lkrep import _product_column
 
 
@@ -188,9 +190,90 @@ def test_e_types_report_no_total():
 
 
 def test_rational_rank():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)], [Fraction(0), Fraction(1)]]
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: 2, 1: 4}, {1: Fraction(1)}]
     assert rational_rank(rows) == 2
-    assert rational_rank([[Fraction(0)]]) == 0
+    assert rational_rank([{0: Fraction(0)}]) == 0
+    assert rational_rank([{}, {"x": Fraction(1, 3)}, {("y", 1): -1}]) == 2
+    assert rational_rank([]) == 0
+
+
+def _dense_rank(rows: list[list[Fraction]]) -> int:
+    """Gauss-Jordan over dense rows: the reference for the sparse ``rational_rank``."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                c = rows[r][col]
+                rows[r] = [v - c * p for v, p in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def test_rational_rank_matches_dense_elimination():
+    rng = random.Random(20261020)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))  # zero about one time in seven
+
+    ranks = set()
+    for _ in range(300):
+        ncols = rng.randint(1, 9)
+        rows = [{k: entry() for k in rng.sample(range(ncols), rng.randint(0, ncols))}
+                for _ in range(rng.randint(0, 6))]
+        for _ in range(rng.randint(0, 3)):  # combinations of the rows so far
+            combo = {}
+            for row in rows:
+                c = entry()
+                for k, v in row.items():
+                    combo[k] = combo.get(k, 0) + c * v  # zero sums stay as explicit zeros
+            rows.append(combo)
+        rows += [{}] * rng.randint(0, 1)
+        rng.shuffle(rows)
+        dense = [[Fraction(row.get(k, 0)) for k in range(ncols)] for row in rows]
+        rank = rational_rank(rows)
+        assert rank == _dense_rank(dense), rows
+        ranks.add((rank, rank < len(rows)))
+    # dependent and independent row sets of several ranks were drawn
+    assert {(0, True), (3, False), (3, True), (6, True)} <= ranks
+
+
+def test_a3_rewrite_closure_has_107_words_of_rank_96():
+    # the two-sided rewrite closure of the empty word on A3, as a2dim builds
+    # A2's; its images span B/I_2, of dimension |W| + |Phi+|^2 |W_C| = 24 + 36 * 2
+    start = time.perf_counter()
+    lk = build_lk("A3")
+    rs = lk.rs
+    letters = [((i, kind),) for kind in "ge" for i in rs.nodes]
+    words = [()]
+    for w in words:  # grows while walked
+        for x in letters:
+            for product in (w + x, x + w):
+                words += sorted(v for v in reduce_word(rs, product) if v not in words)
+    assert len(words) == 107
+
+    l0, m0 = Fraction(5, 7), Fraction(3, 2)
+
+    def coordinates(word):  # a cell lies in H_C, so its coordinates are by w too
+        hecke, mat = rep_image_word(lk, word)
+        vec = {w: s.eval_at(l0, m0) for w, s in hecke.coeffs().items()}
+        for c, col in mat.cols.items():
+            for r, v in col.items():
+                vec.update(((r, c, w), s.eval_at(l0, m0)) for w, s in v.coeffs().items())
+        return vec
+
+    assert rational_rank(map(coordinates, words)) == 96 == (
+        parabolic_order(rs, rs.nodes) + len(rs.positive_roots) ** 2 * parabolic_order(rs, rs.c_nodes))
+    assert time.perf_counter() - start <= 10.0
 
 
 def test_a2_dimension_check():
@@ -592,35 +675,51 @@ UNCATALOGUED = {
                       "under test reaches; its control moves an h node on D4",
     "t_lfree": "+1 puts no l into a T entry; its control multiplies one by l on A4",
 }
+# On specialized E6 at (5/7, 3/2) the catalogue is the cells of sigma_i and
+# tau_i, then the T memo entries, and every name fails; the walk stops there.
+E6_POINT = (Fraction(5, 7), Fraction(3, 2))
 
 
-@pytest.mark.parametrize("label", ["A3", "D4"])
-def test_catalogue_walk_fails_every_check_name(label):
+@pytest.mark.parametrize("label, point, uncatalogued, budget", [
+    ("A3", None, set(UNCATALOGUED), 10.0),
+    ("D4", None, set(UNCATALOGUED), 10.0),
+    ("E6", E6_POINT, set(), 20.0),
+], ids=["A3", "D4", "E6-at-a-point"])
+def test_catalogue_walk_fails_every_check_name(label, point, uncatalogued, budget):
     start = time.perf_counter()
     rs = build_type(label)
-    names = {c.name for c in run_suite("all", label).checks}
-    matrices = (LawrenceKrammer.sigma, LawrenceKrammer.e_matrix,
-                lambda rep, i: rep.e_and_f(i)[1], LawrenceKrammer.tau)
+    names = {c.name for c in run_suite("all", label, point).checks}
+    if point is None:
+        make = lambda: LawrenceKrammer(rs)
+        matrices = (LawrenceKrammer.sigma, LawrenceKrammer.e_matrix,
+                    lambda rep, i: rep.e_and_f(i)[1], LawrenceKrammer.tau)
+    else:
+        make = lambda: CharacterSpecialization(rs, *point)
+        matrices = (CharacterSpecialization.sigma, CharacterSpecialization.tau)
 
-    def failing(rep):
-        return {c.name for fn in _SUITE_FNS.values() for c in fn(rep) if not c.ok}
+    def corrupted():
+        for get in matrices:
+            for i in rs.nodes:
+                for j in rs.nodes:
+                    rep = make()
+                    _corrupt_cell(get(rep, i), rep, rs.root_index[rs.alpha(i)],
+                                  rs.root_index[rs.alpha(j)])
+                    yield rep
+        first = make()
+        _SUITE_FNS["table1"](first)
+        for key in _t_memo(first):
+            rep = make()
+            _SUITE_FNS["table1"](rep)
+            _t_memo(rep)[key] += rep.unit()
+            yield rep
 
     failed = set()
-    for get in matrices:
-        for i in rs.nodes:
-            for j in rs.nodes:
-                rep = LawrenceKrammer(rs)
-                _corrupt_cell(get(rep, i), rep, rs.root_index[rs.alpha(i)], rs.root_index[rs.alpha(j)])
-                failed |= failing(rep)
-    first = LawrenceKrammer(rs)
-    _SUITE_FNS["table1"](first)
-    for key in _t_memo(first):
-        rep = LawrenceKrammer(rs)
-        _SUITE_FNS["table1"](rep)
-        _t_memo(rep)[key] += rep.unit()
-        failed |= failing(rep)
-    assert names - failed == set(UNCATALOGUED)
-    assert time.perf_counter() - start <= 10.0
+    for rep in corrupted():
+        failed |= {c.name for fn in _SUITE_FNS.values() for c in fn(rep) if not c.ok}
+        if failed >= names:
+            break
+    assert names - failed == uncatalogued
+    assert time.perf_counter() - start <= budget
 
 
 @pytest.mark.parametrize("label", ["A3", "D4", "A4"])
