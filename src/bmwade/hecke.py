@@ -21,11 +21,12 @@ stored as bytes of root indices (see ``rootsys``), so descents are index and
 table tests: on the right, whether the index of w(alpha_s) is a negative
 root's; on the left, the sign of (alpha_s, w(2 rho)) read from s's tables.
 Bytes hashes are salted per process, so walks follow dict order, never a
-set's.  A product walks the reduced words of whichever factor has fewer
-terms and multiplies the other factor by their letters from that side.
-When either factor is c T_1 with c a Scalar, its only word is empty, so
-the product is the other factor's terms times c, formed without the walk's
-bookkeeping.
+set's.  ``_product``, which ``HeckeElement.__mul__`` wraps and word images
+call directly, is the one product on flat terms; it adds into a destination
+when handed one.  It walks the reduced words of whichever factor has fewer
+terms and multiplies the other factor by their letters from that side.  A
+factor c T_1, with c a Scalar, has only the empty word, so on either side it
+just scales the other factor (the unit returns it as it is).
 No word minimization is ever needed during multiplication.  The parabolic
 W_C is never enumerated: only elements that actually arise are
 materialized, which keeps E7-sized coefficient algebras usable.
@@ -41,13 +42,17 @@ from .scalar import Scalar, _acc, _exact, _make
 
 def _times(terms: dict, coeff: dict, out: dict | None = None) -> dict:
     """terms times the Scalar terms coeff {(e, k): c}, added into out when given."""
-    if out is None:
-        if len(coeff) == 1:  # a monomial shifts keys without collisions
-            ((e, k), d), = coeff.items()
-            if d == 1:
-                return terms if not (e or k) else {(w, x + e, y + k): c for (w, x, y), c in terms.items()}
-            return {(w, x + e, y + k): _exact(c * d) for (w, x, y), c in terms.items()}
-        out = {}
+    if len(coeff) == 1 and not out:  # a monomial shifts keys without collisions
+        ((e, k), d), = coeff.items()
+        if d != 1:
+            terms = {(w, x + e, y + k): _exact(c * d) for (w, x, y), c in terms.items()}
+        elif e or k:
+            terms = {(w, x + e, y + k): c for (w, x, y), c in terms.items()}
+        if out is None:
+            return terms
+        out.update(terms)  # an empty destination takes the shifted terms whole
+        return out
+    out = {} if out is None else out
     for (e, k), d in coeff.items():
         for (w, x, y), c in terms.items():
             _acc(out, (w, x + e, y + k), c * d)
@@ -96,6 +101,39 @@ def _left_mul(rs: RootSystem, terms: dict, word, inverse: bool = False) -> dict:
     for j in word:
         terms = _letter(terms, rs.left_move(j), inverse)
     return terms
+
+
+def _product(rs: RootSystem, a: dict, b: dict, out: dict | None = None) -> dict:
+    """Terms of a times b, added into out when given.  The reduced words of the
+    factor with fewer terms are walked over the other, a left factor's reversed;
+    a factor c T_1 only scales the other, checked on both sides before any word
+    is read, and a one-term factor is its word's letters, then its coefficient."""
+    left = len(a) < len(b)
+    walked, fixed = (a, b) if left else (b, a)
+    if len(walked) == 1:  # the common one-term factor, grouped without a loop
+        ((w, e, k), c), = walked.items()
+        groups = {w: {(e, k): c}}
+    else:
+        groups = _by_w(walked)
+    one = rs.identity
+    if len(groups) == 1 and one in groups:
+        return _times(fixed, groups[one], out)
+    if all(w == one for w, _, _ in fixed):
+        return _times(walked, {key[1:]: c for key, c in fixed.items()}, out)
+    step = _left_mul if left else _right_mul
+    if len(groups) == 1:
+        (w, c), = groups.items()
+        word = rs.reduced_word(w)
+        return _times(step(rs, fixed, word[::-1] if left else word), c, out)
+    words = [(rs.reduced_word(w)[::-1] if left else rs.reduced_word(w), c)
+             for w, c in groups.items()]
+    # two words share too little to repay the walk's bookkeeping
+    prods = (walk_prefixes(words, fixed, lambda t, j: step(rs, t, (j,)))
+             if len(words) > 2 else [(c, step(rs, fixed, w)) for w, c in words])
+    out = {} if out is None else out
+    for c, prod in prods:
+        _times(prod, c, out)
+    return out
 
 
 def walk_prefixes(items, start, step):
@@ -211,24 +249,7 @@ class HeckeElement:
         if not isinstance(other, HeckeElement):
             return NotImplemented
         self._check_rs(other)
-        rs = self.rs
-        # walk the words of the factor with fewer terms; a left word acts reversed
-        left = len(self.terms) < len(other.terms)
-        walked, fixed, step = (self, other, _left_mul) if left else (other, self, _right_mul)
-        fixed, groups = fixed.terms, _by_w(walked.terms)
-        if len(groups) == 1 and rs.identity in groups:  # c T_1: an empty word, so only scale
-            return HeckeElement(rs, _times(fixed, groups[rs.identity]))
-        if all(w == rs.identity for w, _, _ in fixed):  # the same on the fixed side
-            return HeckeElement(rs, _times(walked.terms, {key[1:]: c for key, c in fixed.items()}))
-        words = [(rs.reduced_word(w)[::-1] if left else rs.reduced_word(w), c)
-                 for w, c in groups.items()]
-        # two words share too little to repay the walk's bookkeeping
-        prods = (walk_prefixes(words, fixed, lambda t, j: step(rs, t, (j,)))
-                 if len(words) > 2 else [(c, step(rs, fixed, w)) for w, c in words])
-        terms = None if len(words) == 1 else {}  # one product needs no accumulator
-        for c, prod in prods:
-            terms = _times(prod, c, terms)
-        return HeckeElement(rs, terms)
+        return HeckeElement(self.rs, _product(self.rs, self.terms, other.terms))
 
     # -- named operations ----------------------------------------------------------
 

@@ -20,7 +20,8 @@ that admit no reachable redex are only normalized to the lexicographically
 least form in their move orbit.  Equality of combinations is decided by
 ``rep_image``, the pair of a Hecke-quotient image (every e goes to zero) and
 the Lawrence-Krammer matrix image, which is invariant under every rule used
-here.  Past a word's first e its matrix image is one column times one row.
+here.  Past a word's first e its matrix image is one column times one row,
+and the image's sums add flat Hecke terms in place (``hecke._product``).
 Termination follows from the strictly decreasing (length multiset, word)
 measure.  The inverse expansion and the orbit search are capped, and a word
 past the cap is refused with ``UnsupportedModeError``.
@@ -31,7 +32,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 
-from .hecke import HeckeElement, walk_prefixes
+from .hecke import HeckeElement, _product, _times, walk_prefixes
 from .lkrep import LawrenceKrammer, SparseMatrix, UnsupportedModeError
 from .rootsys import RootSystem, ascii_int
 from .scalar import Scalar, _acc
@@ -215,13 +216,16 @@ def rep_image_word(lk: LawrenceKrammer, word: BmwWord) -> tuple[HeckeElement, Sp
     return rep_image(lk, {word: _ONE})
 
 
-def _row_times(row: dict, mat: SparseMatrix) -> dict:
-    """The row vector row * mat, left entries first and without zero entries."""
+def _row_times(rs: RootSystem, row: dict, mat: SparseMatrix) -> dict:
+    """The row vector row * mat over flat Hecke terms, left entries first, no zero entry."""
     out = {}
     for c, col in mat.cols.items():
-        prods = [row[r] * v for r, v in col.items() if r in row]
-        if prods and (total := sum(prods[1:], prods[0])):
-            out[c] = total
+        acc = {}
+        for r, v in col.items():
+            if r in row:
+                _product(rs, row[r], v.terms, acc)
+        if acc:
+            out[c] = acc
     return out
 
 
@@ -234,6 +238,8 @@ def rep_image(lk: LawrenceKrammer, comb: dict) -> tuple[HeckeElement, SparseMatr
     letters as a row vector.  This is exact because e_i's matrix has that single
     nonzero row (``eiproj`` pins it; any other entry raises ``EMatrixShapeError``).
     Scalars are central, so rows sharing a column are summed, then multiplied out.
+    The Hecke quotient, rows and cells are flat terms summed in place by ``_times``
+    and ``_product``, and each cell becomes a ``HeckeElement`` once, at the end.
     """
     rs = lk.rs
 
@@ -242,30 +248,31 @@ def rep_image(lk: LawrenceKrammer, comb: dict) -> tuple[HeckeElement, SparseMatr
         h = HeckeElement.zero(rs) if kind == "e" else h.mul_generator(node, kind == "G")
         right = {"g": lk.sigma, "G": lk.sigma_inv, "e": lk.e_matrix}[kind](node)
         if type(mat) is tuple:
-            return h, (mat[0], _row_times(mat[1], right))
+            return h, (mat[0], _row_times(rs, mat[1], right))
         if kind == "e":
             a = rs.root_index[rs.alpha(node)]
             if any(col.keys() != {a} for col in right.cols.values()):
                 raise EMatrixShapeError(f"e_{node} has an entry off row alpha_{node}")
             col = {a: lk.unit()} if mat is None else mat.column(a)
-            return h, (col, {c: e_col[a] for c, e_col in right.cols.items()})
+            return h, (col, {c: e_col[a].terms for c, e_col in right.cols.items()})
         return h, right if mat is None else mat * right
 
-    hecke, cols, rows = HeckeElement.zero(rs), {}, {}
+    hecke, cols, rows = {}, {}, {}
     for coeff, (h, mat) in walk_prefixes(comb.items(), (HeckeElement.unit(rs), None), step):
-        hecke = hecke + h.scale(coeff)
+        _times(h.terms, coeff._terms, hecke)
         if type(mat) is tuple:  # one column object per prefix up to the first e
             acc = rows.setdefault(id(mat[0]), (mat[0], {}))[1]
             for c, v in mat[1].items():
-                _acc(acc, c, v.scale(coeff))
+                _times(v, coeff._terms, acc.setdefault(c, {}))
             continue
         for c, col in (lk.identity_matrix() if mat is None else mat).cols.items():
             tgt = cols.setdefault(c, {})
             for r, v in col.items():
-                _acc(tgt, r, v.scale(coeff))
+                _times(v.terms, coeff._terms, tgt.setdefault(r, {}))
     for col, row in rows.values():
         for c, v in row.items():
             tgt = cols.setdefault(c, {})
             for r, u in col.items():
-                _acc(tgt, r, u * v)
-    return hecke, SparseMatrix(lk.size, cols)
+                _product(rs, u.terms, v, tgt.setdefault(r, {}))
+    return HeckeElement(rs, hecke), SparseMatrix(lk.size, {
+        c: {r: HeckeElement(rs, t) for r, t in col.items()} for c, col in cols.items()})

@@ -161,7 +161,7 @@ def test_criterion_7_a2_dimension_reproduction():
 
 
 def test_criterion_8_rewrite_soundness():
-    sw = _Stopwatch(8, 10.0)
+    sw = _Stopwatch(8, 5.0)
     for label in ("A3", "D4"):
         rs = build_type(label)
         lk = build_lk(label)

@@ -12,6 +12,7 @@ from bmwade.hecke import (
     HeckeElement,
     ParabolicError,
     _left_mul,
+    _product,
     _right_mul,
     eval_signed_word,
     in_parabolic,
@@ -367,6 +368,67 @@ def test_left_route_matches_right_words(label, parent):
             for v, c in b.coeffs().items():
                 ref = ref + a.mul_word(rs.reduced_word(v)).scale(c)
             assert a * b == ref
+
+
+def _canonical(terms):
+    """Whether flat terms have no zero coefficient and no integral Fraction."""
+    return all(c and not (type(c) is Fraction and c.denominator == 1) for c in terms.values())
+
+
+# A4 and D5 have a non-commutative H_C, and every full type is non-commutative,
+# so a product taken from the wrong side shows
+@pytest.mark.parametrize("label, parent", [("D4", full_parent), ("A4", full_parent),
+                                           ("D5", c_parent), ("D5", full_parent),
+                                           ("E6", c_parent)])
+def test_product_matches_letter_walks_and_adds_into_its_destination(label, parent):
+    # against two letter walks: b's words on the right of a, and a's reversed
+    # words on the left of b
+    rs = build_type(label)
+    pool = enumerate_parabolic(rs, parent(rs))
+    rng = random.Random(53)
+    u = HeckeElement.unit(rs)
+
+    def element(size):
+        out = HeckeElement.zero(rs)
+        for w in rng.sample(pool, size):
+            out = out + basis(rs, w).scale(_laurent(rng))
+        return out
+
+    def walks(a, b):
+        right, left = HeckeElement.zero(rs), HeckeElement.zero(rs)
+        for w, c in b.coeffs().items():
+            right = right + HeckeElement(rs, _right_mul(rs, a.terms, rs.reduced_word(w))).scale(c)
+        for w, c in a.coeffs().items():
+            left = left + HeckeElement(rs, _left_mul(rs, b.terms, rs.reduced_word(w)[::-1])).scale(c)
+        assert right == left
+        return right
+
+    nodes = sorted(parent(rs))
+    long_w = max(pool, key=lambda w: len(rs.reduced_word(w)))
+    c3 = _laurent(rng) + Scalar.l(2)
+    shapes = {
+        "unit": u,
+        "c T_1": u.scale(c3),  # three terms
+        "z_j": HeckeElement.generator(rs, nodes[0]),
+        "c z_j": HeckeElement.generator(rs, nodes[-1]).scale(Scalar.l(-1).scale(Fraction(2, 3))),
+        "c T_w": basis(rs, long_w).scale(Scalar.from_fraction(-3) * M),
+        "small": element(2),
+        "large": element(9),
+        "zero": HeckeElement.zero(rs),
+    }
+    assert len(shapes["c T_1"].terms) == 3 and len(rs.reduced_word(long_w)) > 2
+    large = shapes["large"].terms
+    assert _product(rs, u.terms, large) is large is _product(rs, large, u.terms)
+    for (na, a), (nb, b) in ((x, y) for x in shapes.items() for y in shapes.items()):
+        before = (dict(a.terms), dict(b.terms))
+        expected = walks(a, b)
+        assert a * b == expected, (na, nb)
+        assert _canonical(_product(rs, a.terms, b.terms)), (na, nb)
+        for dest in (HeckeElement.zero(rs), element(3), -expected):
+            out = dict(dest.terms)
+            assert _product(rs, a.terms, b.terms, out) is out, (na, nb)
+            assert HeckeElement(rs, out) == dest + expected and _canonical(out), (na, nb)
+        assert (a.terms, b.terms) == before, (na, nb)
 
 
 def test_mul_word_matches_repeated_mul_generator():

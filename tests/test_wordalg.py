@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from bmwade.hecke import HeckeElement, eval_signed_word
+from fractions import Fraction
+
+from bmwade.hecke import HeckeElement, eval_signed_word, walk_prefixes
 from bmwade.lkrep import LawrenceKrammer, SparseMatrix, build_lk
 from bmwade.rootsys import build_type
-from bmwade.scalar import Scalar
+from bmwade.scalar import Scalar, _acc
 from bmwade.wordalg import (
     _INVERSE,
     _MOVES,
@@ -212,6 +214,85 @@ def test_rep_image_matches_reference(label):
         ref = _reference_image(lk, {word: Scalar.one()})
         assert rep_image_word(lk, word) == ref, word
         assert rep_image(lk, reduce_word(rs, word)) == ref, word
+
+
+def _reference_rep_image(lk, comb):
+    """``rep_image`` as it summed whole ``HeckeElement``s, one new element per
+    addition: prefixes shared, each word past its first e one column times one row."""
+    rs = lk.rs
+
+    def row_times(row, mat):
+        out = {}
+        for c, col in mat.cols.items():
+            prods = [row[r] * v for r, v in col.items() if r in row]
+            if prods and (total := sum(prods[1:], prods[0])):
+                out[c] = total
+        return out
+
+    def step(image, letter):
+        (h, mat), (node, kind) = image, letter
+        h = HeckeElement.zero(rs) if kind == "e" else h.mul_generator(node, kind == "G")
+        right = {"g": lk.sigma, "G": lk.sigma_inv, "e": lk.e_matrix}[kind](node)
+        if type(mat) is tuple:
+            return h, (mat[0], row_times(mat[1], right))
+        if kind == "e":
+            a = rs.root_index[rs.alpha(node)]
+            col = {a: lk.unit()} if mat is None else mat.column(a)
+            return h, (col, {c: e_col[a] for c, e_col in right.cols.items()})
+        return h, right if mat is None else mat * right
+
+    hecke, cols, rows = HeckeElement.zero(rs), {}, {}
+    for coeff, (h, mat) in walk_prefixes(comb.items(), (HeckeElement.unit(rs), None), step):
+        hecke = hecke + h.scale(coeff)
+        if type(mat) is tuple:
+            acc = rows.setdefault(id(mat[0]), (mat[0], {}))[1]
+            for c, v in mat[1].items():
+                _acc(acc, c, v.scale(coeff))
+            continue
+        for c, col in (lk.identity_matrix() if mat is None else mat).cols.items():
+            tgt = cols.setdefault(c, {})
+            for r, v in col.items():
+                _acc(tgt, r, v.scale(coeff))
+    for col, row in rows.values():
+        for c, v in row.items():
+            tgt = cols.setdefault(c, {})
+            for r, u in col.items():
+                _acc(tgt, r, u * v)
+    return hecke, SparseMatrix(lk.size, cols)
+
+
+def _canonical_cells(hecke, mat):
+    """Whether the Hecke image and every stored cell are canonical ``HeckeElement``s:
+    no empty cell, no zero coefficient, no integral ``Fraction``."""
+    elements = [hecke] + [v for col in mat.cols.values() for v in col.values()]
+    return all(type(h) is HeckeElement for h in elements) and all(
+        (h.terms or h is hecke) and all(
+            c and not (type(c) is Fraction and c.denominator == 1) for c in h.terms.values())
+        for h in elements)
+
+
+@pytest.mark.parametrize("label", ["A3", "D4", "A4", "D5"])
+def test_rep_image_matches_whole_element_sums(label):
+    # seeded words with G letters, e-free words and the empty word, alone and in
+    # combinations (their rewritings, and a combination with cancelling cells)
+    lk = build_lk(label)
+    rs = lk.rs
+    rng = random.Random(8)
+    letters = [(i, k) for i in rs.nodes for k in "gGe"]
+    words = [()] + [tuple(rng.choice(letters) for _ in range(rng.randint(1, 9)))
+                    for _ in range(12)]
+    words += [tuple((rng.choice(rs.nodes), rng.choice("gG")) for _ in range(rng.randint(1, 7)))
+              for _ in range(6)]
+    assert any("G" in letter for w in words for letter in w)
+    combs = [{w: Scalar.one()} for w in words] + [reduce_word(rs, w) for w in words[1:8]]
+    c = M * LINV - Scalar.from_fraction(Fraction(1, 2))
+    combs.append({w: c for w in words[:6]})
+    combs.append({words[1]: c, words[1] + ((1, "g"), (1, "G")): -c})  # cancels to zero
+    assert rep_image(lk, combs[-1]) == (HeckeElement.zero(rs), SparseMatrix(lk.size))
+    for comb in combs:
+        image = rep_image(lk, comb)
+        assert image == _reference_rep_image(lk, comb), comb
+        assert _canonical_cells(*image), comb
 
 
 def test_rep_image_refuses_e_off_its_row():
