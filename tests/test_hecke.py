@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -419,7 +420,7 @@ def test_product_matches_letter_walks_and_adds_into_its_destination(label, paren
     assert len(shapes["c T_1"].terms) == 3 and len(rs.reduced_word(long_w)) > 2
     large = shapes["large"].terms
     assert _product(rs, u.terms, large) is large is _product(rs, large, u.terms)
-    for (na, a), (nb, b) in ((x, y) for x in shapes.items() for y in shapes.items()):
+    for (na, a), (nb, b) in itertools.product(shapes.items(), repeat=2):
         before = (dict(a.terms), dict(b.terms))
         expected = walks(a, b)
         assert a * b == expected, (na, nb)
