@@ -18,8 +18,10 @@ z^-1 = z + m.  On the right, T_w z_s = T_{ws} when l(ws) > l(w) and
 T_{ws} - m T_w otherwise; on the left, z_s T_w = T_{sw} when l(sw) > l(w)
 and T_{sw} - m T_w otherwise (Geck-Pfeiffer 2000, 4.4).  Basis elements are
 stored as bytes of root indices (see ``rootsys``), so descents are index and
-table tests: on the right, whether the index of w(alpha_s) is a negative
-root's; on the left, the sign of (alpha_s, w(2 rho)) read from s's tables.
+table tests, which ``RootSystem.right_move`` and ``left_move`` make with each
+step: on the right, whether the index of w(alpha_s) is a negative root's; on
+the left, the sign of (alpha_s, w(2 rho)) read from s's tables.  One letter
+loop serves both sides.
 Bytes hashes are salted per process, so walks follow dict order, never a
 set's.  ``_product``, which ``HeckeElement.__mul__`` wraps and word images
 call directly, is the one product on flat terms; it adds into a destination
@@ -67,40 +69,38 @@ def _by_w(terms: dict) -> dict:
     return groups
 
 
-def _letter(terms: dict, move, inverse: bool) -> dict:
-    """One letter: T_w goes to T_v, less m T_w on a descent (plus m T_w off
-    one, for the inverse letter z + m), where move(w) = (v, descent).  Each w
-    moves once, and v is cached in one of two dicts by descent rather than as
-    a pair: fewer live tuples mean fewer garbage collections."""
-    out, up, down, extra = {}, {}, {}, []
-    for (w, e, k), c in terms.items():
-        v = up.get(w)
-        if descent := v is None:
-            v = down.get(w)
-            if v is None:
-                v, descent = move(w)
-                (down if descent else up)[w] = v
-        out[(v, e, k)] = c  # w -> v is one-to-one, so these never collide
-        if descent != inverse:
-            extra.append(((w, e, k + 1), -c if descent else c))
-    for key, c in extra:
-        _acc(out, key, c)
-    return out
+def _letters(terms: dict, moves, inverse: bool) -> dict:
+    """One letter per move in turn: T_w goes to T_v, less m T_w on a descent
+    (plus m T_w off one, for the inverse letter z + m), where move(w) = (v,
+    descent).  Each w moves once, and v is cached in one of two dicts by
+    descent rather than as a pair: fewer live tuples mean fewer garbage
+    collections."""
+    for move in moves:
+        out, up, down, extra = {}, {}, {}, []
+        for (w, e, k), c in terms.items():
+            v = up.get(w)
+            if descent := v is None:
+                v = down.get(w)
+                if v is None:
+                    v, descent = move(w)
+                    (down if descent else up)[w] = v
+            out[(v, e, k)] = c  # w -> v is one-to-one, so these never collide
+            if descent != inverse:
+                extra.append(((w, e, k + 1), -c if descent else c))
+        for key, c in extra:
+            _acc(out, key, c)
+        terms = out
+    return terms
 
 
 def _right_mul(rs: RootSystem, terms: dict, word, inverse: bool = False) -> dict:
     """Terms of (sum c T_w) times z_j, or z_j^-1, for each j of word in turn."""
-    for j in word:
-        terms = _letter(terms, lambda w: (rs.right_mul_simple(w, j), w[j - 1] >= rs.n_pos),
-                        inverse)
-    return terms
+    return _letters(terms, map(rs.right_move, word), inverse)
 
 
 def _left_mul(rs: RootSystem, terms: dict, word, inverse: bool = False) -> dict:
     """Terms of z_j, or z_j^-1, times (sum c T_w), for each j of word in turn."""
-    for j in word:
-        terms = _letter(terms, rs.left_move(j), inverse)
-    return terms
+    return _letters(terms, map(rs.left_move, word), inverse)
 
 
 def _product(rs: RootSystem, a: dict, b: dict, out: dict | None = None) -> dict:

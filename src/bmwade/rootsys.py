@@ -253,6 +253,12 @@ class RootSystem:
             imgs[i - 1] = s
         return bytes(imgs)
 
+    def right_move(self, j: int):
+        """The map w -> (w r_j, whether l(w r_j) < l(w)): a descent when w(alpha_j),
+        image j, is a negative root."""
+        k, n_pos = j - 1, self.n_pos
+        return lambda w: (self.right_mul_simple(w, j), w[k] >= n_pos)
+
     def left_mul_simple(self, j: int, w: Weyl) -> Weyl:
         """r_j w; permutes every stored image."""
         return w.translate(self._left_tables[j][0])

@@ -6,12 +6,17 @@ representation matrices, either exactly over the symbolic coefficient ring
 rationals at a specialization point l = l0, r = r0 with the one-dimensional
 character z -> 1/r0 (specialized mode, all types including E8).  Each
 relation is stated once, whatever the ring: sigma and tau share one braid
-loop, and the adjacent-node rows of the T table share one instance walker.
-A failing check always carries a concrete witness: the indices involved and
-the first nonzero residual cell, or ``no cell differs`` when only the matrix
-type or size does.  A check with no instance on a type passes vacuously
-(``zaction_i`` on A1 and A2, rows 4-7 and the adjacent choice on A2,
-``t_both_orthogonal`` and ``t_choice_commuting_step`` on A2, A3 and D4).
+loop, and the T table is one walk over (beta, i, j != i), in which rows 4-7
+and ``t_both_orthogonal`` are read off j's adjacency to i and the pairings
+of alpha_i and alpha_j with beta, and every step of the recursion at (beta,
+i) is compared with T.  A check over instances fails at its first instance
+whose two sides differ (``_first_bad``), and its witness names it; a matrix
+check's witness is the first nonzero residual cell, or ``no cell differs``
+when only the matrix type or size does.  A check with no instance on a type
+passes vacuously: on A1 rows 1 and 3-7, ``t_both_orthogonal``, both choice
+checks and ``zaction_1``; on A2 rows 4-7, ``t_both_orthogonal``, both choice
+checks and ``zaction_i``; on A3 and D4 ``t_both_orthogonal`` and
+``t_choice_commuting_step``.
 
 The dimension report reproduces the closed-form counts: |Phi+|^2 |W_C| for
 the middle layer, the odd double factorial totals for type A with their
@@ -207,131 +212,97 @@ def _suite_eiproj(rep: LKRepresentation) -> list[CheckResult]:
     return out
 
 
+def _first_bad(name: str, instances) -> CheckResult:
+    """The check ``name``, failed at the label of its first instance (label,
+    lhs, rhs) with lhs != rhs; instances are read only up to that one."""
+    label = next((label for label, lhs, rhs in instances if lhs != rhs), None)
+    return CheckResult(name, label is None, label)
+
+
 def _suite_table1(rep: LKRepresentation) -> list[CheckResult]:
-    """The rows of the T equation table, restated independently of the recursion."""
-    rs, t, m = rep.rs, rep.t_coeff, rep.m
-    out = []
+    """The rows of the T equation table, restated independently of the recursion,
+    and choice independence: every step of the recursion gives T."""
+    rs, t, m, h, z_inv, sub = rep.rs, rep.t_coeff, rep.m, rep.h_elem, rep.z_inv, rep.rs.sub_simple
+    out = [
+        _first_bad("t_row1_zero", ((f"i={i} beta=alpha_{j}", t(i, rs.alpha(j)), rep.zero())
+                                   for i in rs.nodes for j in rs.nodes if i != j)),
+        _first_bad("t_row2_unit", ((f"i={i}", t(i, rs.alpha(i)), rep.unit()) for i in rs.nodes)),
+        _first_bad("t_row3_m", ((f"i={i} j={j}", t(i, rs.add_simple(rs.alpha(i), j)), rep.unit() * m)
+                                for i in rs.nodes for j in rs.neighbors[i])),
+    ]
 
-    def run(name, instances):
-        for label, lhs, rhs in instances:
-            if lhs != rhs:
-                out.append(CheckResult(name, False, label))
-                return
-        out.append(CheckResult(name, True))
-
-    roots = rs.positive_roots
-
-    run("t_row1_zero", (
-        (f"i={i} beta=alpha_{j}", t(i, rs.alpha(j)), rep.zero())
-        for i in rs.nodes for j in rs.nodes if i != j
-    ))
-    run("t_row2_unit", (
-        (f"i={i}", t(i, rs.alpha(i)), rep.unit()) for i in rs.nodes
-    ))
-    run("t_row3_m", (
-        (f"i={i} j={j}", t(i, rs.add_simple(rs.alpha(i), j)), rep.unit() * m)
-        for i in rs.nodes for j in rs.neighbors[i]
-    ))
-
-    def row4():
-        for beta in roots:
-            for i in rs.nodes:
-                for j in rs.nodes:
-                    if j == i or j in rs.neighbors[i] or rs.pairing_simple(j, beta) != 1:
-                        continue
-                    hinv = rep.z_inv(rs.h_node(rs.alpha(i), j))
-                    yield (f"i={i} j={j} beta={beta}", t(i, beta),
-                           hinv * t(i, rs.sub_simple(beta, j)))
-
-    def adjacent(pi, pj):
-        """(label, beta, i, j) for j adjacent to i, (alpha_i, beta) = pi, (alpha_j, beta) = pj."""
-        for beta in roots:
-            for i in rs.nodes:
-                if rs.pairing_simple(i, beta) != pi:
+    # rows 4-7 by (j adjacent to i, p_i, p_j), p_k = (alpha_k, beta), row 4 at
+    # any p_i: each row's check and its two sides at (beta, i, j)
+    rows = {
+        (False, None, 1): ("t_row4_commuting", lambda beta, i, j: (
+            t(i, beta), z_inv(rs.h_node(rs.alpha(i), j)) * t(i, sub(beta, j)))),
+        (True, 0, 1): ("t_row5_adjacent0", lambda beta, i, j: (
+            t(i, beta), t(j, sub(sub(beta, j), i)) + t(i, sub(beta, j)) * m)),
+        (True, -1, 1): ("t_row6_adjacent-1", lambda beta, i, j: (
+            t(i, beta), t(j, sub(beta, j)) * h(sub(beta, j), i) + t(i, sub(beta, j)) * m)),
+        (True, 1, 0): ("t_row7_pairing1", lambda beta, i, j: (
+            t(i, beta), t(j, sub(beta, i)) * z_inv(rs.h_node(beta, j)))),
+        (True, 0, 0): ("t_both_orthogonal", lambda beta, i, j: (
+            t(i, beta) * h(beta, j), t(j, beta) * h(beta, i))),
+    }
+    choice = {True: "t_choice_commuting_step", False: "t_choice_adjacent_step"}
+    found = {name: [] for name, _ in rows.values()} | {name: [] for name in choice.values()}
+    for beta in rs.positive_roots:
+        for i in rs.nodes:
+            p = rs.pairing_simple(i, beta)
+            # the recursion's own steps; at heights one and two every pairing is 2 or 1
+            if p in (0, -1) and i in rs.support(beta):
+                expected = t(i, beta)
+                for j, commuting, value in rep.steps(i, beta):
+                    found[choice[commuting]].append((f"i={i} j={j} beta={beta}", value, expected))
+            for j in rs.nodes:
+                pj = rs.pairing_simple(j, beta)
+                row = rows.get((True, p, pj) if j in rs.neighbors[i] else (False, None, pj))
+                if j == i or row is None or (p == pj == 0 and j < i):  # (beta, j, i) mirrors it
                     continue
-                for j in rs.neighbors[i]:
-                    if rs.pairing_simple(j, beta) == pj:
-                        yield f"i={i} j={j} beta={beta}", beta, i, j
-
-    def row5():
-        for label, beta, i, j in adjacent(0, 1):
-            gamma = rs.sub_simple(beta, j)
-            yield label, t(i, beta), t(j, rs.sub_simple(gamma, i)) + t(i, gamma) * m
-
-    def row6():
-        for label, beta, i, j in adjacent(-1, 1):
-            gamma = rs.sub_simple(beta, j)
-            yield label, t(i, beta), t(j, gamma) * rep.h_elem(gamma, i) + t(i, gamma) * m
-
-    run("t_row4_commuting", row4())
-    run("t_row5_adjacent0", row5())
-    run("t_row6_adjacent-1", row6())
-    run("t_row7_pairing1", (
-        (label, t(i, beta), t(j, rs.sub_simple(beta, i)) * rep.z_inv(rs.h_node(beta, j)))
-        for label, beta, i, j in adjacent(1, 0)
-    ))
-    run("t_both_orthogonal", (
-        (label, t(i, beta) * rep.h_elem(beta, j), t(j, beta) * rep.h_elem(beta, i))
-        for label, beta, i, j in adjacent(0, 0) if j > i
-    ))
+                name, sides = row
+                found[name].append((f"i={i} j={j} beta={beta}", *sides(beta, i, j)))
+    out += [_first_bad(name, found[name]) for name, _ in rows.values()]
 
     if isinstance(rep, LawrenceKrammer):
         # l-freeness is a statement about symbolic coefficients; a rational
         # point has no l left to be free of
-        ok = all(rep.t_coeff(i, beta).is_l_free() for i in rs.nodes for beta in roots)
+        ok = all(rep.t_coeff(i, beta).is_l_free() for i in rs.nodes for beta in rs.positive_roots)
         out.append(CheckResult("t_lfree", ok))
 
     if rs.dtype.label in ("A3", "A4", "D4"):
         # h against its full-type Hecke evaluation, whatever ring is under test
         lk = build_lk(rs.dtype.label)
-        run("t_hnode_oracle", (
+        out.append(_first_bad("t_hnode_oracle", (
             (f"i={i} beta={beta}", lk.h_oracle(beta, i), lk.h_elem(beta, i))
-            for beta in roots for i in rs.nodes if rs.pairing_simple(i, beta) == 0
-        ))
-    return out
-
-
-def _suite_choice(rep: LKRepresentation) -> list[CheckResult]:
-    """Choice independence: every commuting-node and adjacent-node step gives T."""
-    rs, bad = rep.rs, {True: None, False: None}
-    for beta in rs.positive_roots:
-        for i in rs.support(beta):  # at heights one and two every pairing is 2 or 1
-            if rs.pairing_simple(i, beta) not in (0, -1):
-                continue
-            expected = rep.t_coeff(i, beta)
-            for j, commuting, value in rep.steps(i, beta):
-                if value != expected and bad[commuting] is None:
-                    bad[commuting] = f"i={i} j={j} beta={beta}"
-    return [CheckResult("t_choice_commuting_step", bad[True] is None, bad[True]),
-            CheckResult("t_choice_adjacent_step", bad[False] is None, bad[False])]
+            for beta in rs.positive_roots for i in rs.nodes if rs.pairing_simple(i, beta) == 0
+        )))
+    return out + [_first_bad(name, found[name]) for name in choice.values()]
 
 
 def _suite_zaction(rep: LKRepresentation) -> list[CheckResult]:
     """Column x_{alpha_i} of W(k,i) sigma_j W(i,k) e_i, pushed as a one-column matrix."""
-    rs, out = rep.rs, []
-    for i in rs.nodes:
-        a = rs.root_index[rs.alpha(i)]
+    rs = rep.rs
+
+    def instances(i, a):
         e_col = rep.e_matrix(i) * rep.matrix(rep.size, {a: {a: rep.unit()}})
-        bad = None
         for k in rs.nodes:
             far = [j for j in rs.nodes if j != k and j not in rs.neighbors[k]]
             if not far:
                 continue
             pushed = rep.word_apply(rs.geodesic_word(i, k), e_col)
             for j in far:
-                col = rep.word_apply(rs.geodesic_word(k, i), rep.sigma(j) * pushed)
-                expect = rep.matrix(rep.size, {a: {a: rep.h_elem(rs.alpha(k), j) * rep.x}})
-                if col != expect and bad is None:
-                    bad = f"j={j} k={k}"
-        out.append(CheckResult(f"zaction_{i}", bad is None, bad))
-    return out
+                yield (f"j={j} k={k}", rep.word_apply(rs.geodesic_word(k, i), rep.sigma(j) * pushed),
+                       rep.matrix(rep.size, {a: {a: rep.h_elem(rs.alpha(k), j) * rep.x}}))
+
+    return [_first_bad(f"zaction_{i}", instances(i, rs.root_index[rs.alpha(i)])) for i in rs.nodes]
 
 
 _SUITE_FNS = {
     "braid": lambda rep: _braid_checks(rep.rs, rep.sigma, ""),
     "essential": _suite_essential,
     "eiproj": _suite_eiproj,
-    "table1": lambda rep: _suite_table1(rep) + _suite_choice(rep),
+    "table1": _suite_table1,
     "zaction": _suite_zaction,
     "tau_monoid": lambda rep: _braid_checks(rep.rs, rep.tau, "tau_"),
 }
@@ -438,14 +409,12 @@ def rational_rank(rows) -> int:
 
 def _a2_vector(lk: LawrenceKrammer, word, l0: Fraction, m0: Fraction) -> dict:
     """Coordinates of a word image at (l0, m0): {w: value} for its Hecke
-    coefficients and {(r, c): value} for its matrix cells.  C is empty on A2,
-    so a cell is c T_1, and a cell without a T_1 term raises KeyError."""
-    identity = lk.rs.identity
+    coefficients and {(r, c, w): value} for the T_w coefficient of cell (r, c)."""
     hecke, mat = rep_image_word(lk, word)
     vec = {w: s.eval_at(l0, m0) for w, s in hecke.coeffs().items()}
     for c, col in mat.cols.items():
         for r, v in col.items():
-            vec[r, c] = v.coeffs()[identity].eval_at(l0, m0)
+            vec.update(((r, c, w), s.eval_at(l0, m0)) for w, s in v.coeffs().items())
     return vec
 
 

@@ -190,10 +190,9 @@ def test_left_descent_is_a_length_drop(label):
             left, right = rs.left_mul_simple(j, w), rs.right_mul_simple(w, j)
             assert left == compose(rs, rj, w)
             assert right == compose(rs, w, rj)
-            # the one-call left step of the Hecke kernel, descent test included
+            # the one-call steps of the Hecke kernel, descent tests included
             assert rs.left_move(j)(w) == (left, weyl_length(rs, left) < length)
-            # the right-descent test of HeckeElement.mul_generator
-            assert (w[j - 1] >= rs.n_pos) == (weyl_length(rs, right) < length)
+            assert rs.right_move(j)(w) == (right, weyl_length(rs, right) < length)
 
 
 def on_support_half(rs, beta):

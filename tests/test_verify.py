@@ -20,6 +20,7 @@ from bmwade.verify import (
     _SUITE_FNS,
     CheckResult,
     UnsupportedModeError,
+    _a2_vector,
     _check_eq,
     _mat_witness,
     _suite_table1,
@@ -30,7 +31,7 @@ from bmwade.verify import (
     run_suite,
     seeded_points,
 )
-from bmwade.wordalg import reduce_word, rep_image_word
+from bmwade.wordalg import reduce_word
 from test_lkrep import _product_column
 
 
@@ -261,17 +262,8 @@ def test_a3_rewrite_closure_has_107_words_of_rank_96():
                 words += sorted(v for v in reduce_word(rs, product) if v not in words)
     assert len(words) == 107
 
-    l0, m0 = Fraction(5, 7), Fraction(3, 2)
-
-    def coordinates(word):  # a cell lies in H_C, so its coordinates are by w too
-        hecke, mat = rep_image_word(lk, word)
-        vec = {w: s.eval_at(l0, m0) for w, s in hecke.coeffs().items()}
-        for c, col in mat.cols.items():
-            for r, v in col.items():
-                vec.update(((r, c, w), s.eval_at(l0, m0)) for w, s in v.coeffs().items())
-        return vec
-
-    assert rational_rank(map(coordinates, words)) == 96 == (
+    vectors = (_a2_vector(lk, word, Fraction(5, 7), Fraction(3, 2)) for word in words)
+    assert rational_rank(vectors) == 96 == (
         parabolic_order(rs, rs.nodes) + len(rs.positive_roots) ** 2 * parabolic_order(rs, rs.c_nodes))
     assert time.perf_counter() - start <= 10.0
 
@@ -576,11 +568,19 @@ def test_check_families_catch_a_corrupted_cell_on_a3(kind, row, col, expect):
     assert {suite: names for suite, names in bad.items() if names} == expect
 
 
-# negative controls for the T table on generic A4 and D4: +1 on one T memo
-# entry after a first table1 run, and every table-1 check that fails, in suite
-# order, with its witness
+E6_POINT = (Fraction(5, 7), Fraction(3, 2))
+
+
+def _at_e6_point(rs):
+    return CharacterSpecialization(rs, *E6_POINT)
+
+
+# negative controls for the T table on generic A4 and D4, and on E6 at E6_POINT
+# (the ring the E types are checked over): +1 on one T memo entry of the ring
+# made by the factory, after a first table1 run, and every table-1 check that
+# fails, in suite order, with its witness
 T_MEMO_CONTROLS = [
-    ("A4", (2, (1, 1, 1, 1)), [
+    ("A4", LawrenceKrammer, (2, (1, 1, 1, 1)), [
         ("t_row4_commuting", "i=2 j=4 beta=(1, 1, 1, 1)"),
         ("t_row5_adjacent0", "i=2 j=1 beta=(1, 1, 1, 1)"),
         ("t_both_orthogonal", "i=2 j=3 beta=(1, 1, 1, 1)"),
@@ -588,38 +588,55 @@ T_MEMO_CONTROLS = [
         ("t_choice_adjacent_step", "i=2 j=1 beta=(1, 1, 1, 1)"),
     ]),
     # every node with pairing one is adjacent to the branch node: no commuting step
-    ("D4", (2, (0, 1, 1, 1)), [
+    ("D4", LawrenceKrammer, (2, (0, 1, 1, 1)), [
         ("t_row5_adjacent0", "i=2 j=3 beta=(0, 1, 1, 1)"),
         ("t_row6_adjacent-1", "i=2 j=1 beta=(1, 1, 1, 1)"),
         ("t_choice_adjacent_step", "i=2 j=3 beta=(0, 1, 1, 1)"),
     ]),
     # (alpha_2, beta) = 1: the closed-form entry that row 7 reads
-    ("A4", (2, (0, 1, 1, 1)), [
+    ("A4", LawrenceKrammer, (2, (0, 1, 1, 1)), [
         ("t_row4_commuting", "i=2 j=4 beta=(0, 1, 1, 1)"),
         ("t_row5_adjacent0", "i=2 j=1 beta=(1, 1, 1, 1)"),
         ("t_row7_pairing1", "i=2 j=3 beta=(0, 1, 1, 1)"),
         ("t_choice_adjacent_step", "i=2 j=1 beta=(1, 1, 1, 1)"),
     ]),
     # rows 1-3, the explicit values: zero off the support, 1 at alpha_i, m at height two
-    ("A4", (2, (1, 0, 0, 0)), [
+    ("A4", LawrenceKrammer, (2, (1, 0, 0, 0)), [
         ("t_row1_zero", "i=2 beta=alpha_1"),
         ("t_row6_adjacent-1", "i=3 j=2 beta=(1, 1, 0, 0)"),
     ]),
-    ("A4", (1, (1, 0, 0, 0)), [
+    ("A4", LawrenceKrammer, (1, (1, 0, 0, 0)), [
         ("t_row2_unit", "i=1"),
     ]),
-    ("A4", (1, (1, 1, 0, 0)), [
+    ("A4", LawrenceKrammer, (1, (1, 1, 0, 0)), [
         ("t_row3_m", "i=1 j=2"),
         ("t_row4_commuting", "i=1 j=3 beta=(1, 1, 1, 0)"),
+    ]),
+    # E6 has instances of every row: rows 4-6, t_both_orthogonal and both steps
+    ("E6", _at_e6_point, (4, (0, 0, 1, 1, 1, 1)), [
+        ("t_row4_commuting", "i=4 j=6 beta=(0, 0, 1, 1, 1, 1)"),
+        ("t_row5_adjacent0", "i=4 j=3 beta=(0, 0, 1, 1, 1, 1)"),
+        ("t_row6_adjacent-1", "i=4 j=2 beta=(0, 1, 1, 1, 1, 1)"),
+        ("t_both_orthogonal", "i=4 j=5 beta=(0, 0, 1, 1, 1, 1)"),
+        ("t_choice_commuting_step", "i=4 j=6 beta=(0, 0, 1, 1, 1, 1)"),
+        ("t_choice_adjacent_step", "i=4 j=3 beta=(0, 0, 1, 1, 1, 1)"),
+    ]),
+    # at height two: row 3 and the row 7 entry above it
+    ("E6", _at_e6_point, (4, (0, 0, 1, 1, 0, 0)), [
+        ("t_row3_m", "i=4 j=3"),
+        ("t_row4_commuting", "i=4 j=1 beta=(1, 0, 1, 1, 0, 0)"),
+        ("t_row5_adjacent0", "i=4 j=5 beta=(0, 0, 1, 1, 1, 0)"),
+        ("t_row7_pairing1", "i=5 j=4 beta=(0, 0, 1, 1, 1, 0)"),
+        ("t_choice_adjacent_step", "i=4 j=5 beta=(0, 0, 1, 1, 1, 0)"),
     ]),
 ]
 
 
-@pytest.mark.parametrize("label, key, failing", T_MEMO_CONTROLS,
-                         ids=[f"{label}-{key[0]}-{''.join(map(str, key[1]))}"
-                              for label, key, _ in T_MEMO_CONTROLS])
-def test_table1_catches_a_corrupted_t_memo_entry(label, key, failing):
-    rep = LawrenceKrammer(build_type(label))
+@pytest.mark.parametrize("label, ring, key, failing", T_MEMO_CONTROLS, ids=[
+    f"{label}{'' if ring is LawrenceKrammer else '-at-a-point'}-{key[0]}-{''.join(map(str, key[1]))}"
+    for label, ring, key, _ in T_MEMO_CONTROLS])
+def test_table1_catches_a_corrupted_t_memo_entry(label, ring, key, failing):
+    rep = ring(build_type(label))
     _SUITE_FNS["table1"](rep)
     _t_memo(rep)[key] += rep.unit()
     bad = [(c.name, c.witness) for c in _SUITE_FNS["table1"](rep) if not c.ok]
@@ -677,7 +694,6 @@ UNCATALOGUED = {
 }
 # On specialized E6 at (5/7, 3/2) the catalogue is the cells of sigma_i and
 # tau_i, then the T memo entries, and every name fails; the walk stops there.
-E6_POINT = (Fraction(5, 7), Fraction(3, 2))
 
 
 @pytest.mark.parametrize("label, point, uncatalogued, budget", [
